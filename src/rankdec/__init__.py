@@ -62,7 +62,6 @@ from .interleaved import (
     stacked_rank,
 )
 from .channel import (
-    ErrorSpec,
     Prng,
     derive_seed,
     random_burst_error,

@@ -15,18 +15,14 @@ construction instead of sampling and filtering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import RankInfeasible
-from .field import FieldCtx, rank, rank_weight
+from .field import FieldCtx, fqm_rank, rank, rank_weight
 from .gabidulin import GabidulinCode, code_new
 from .qpoly import QPoly
-from .interleaved import fqm_rank
 
 __all__ = [
     "Prng",
     "derive_seed",
-    "ErrorSpec",
     "random_error_vector",
     "random_burst_error",
     "random_code",
@@ -79,16 +75,6 @@ class Prng:
 
     def base_elem(self, ctx: FieldCtx) -> int:
         return self.below(ctx.q)
-
-
-@dataclass(frozen=True)
-class ErrorSpec:
-    """Channel request: target F_q-rank t, optional F_{q^m}-rank zeta
-    (interleaved bursts only), and the reproducibility seed."""
-
-    t: int
-    zeta: int | None = None
-    seed: int = 0
 
 
 def _random_independent(ctx: FieldCtx, rng: Prng, count: int) -> tuple[int, ...]:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DependentPoints,
     InternalInconsistency,
     NotPrimePower,
     ReducibleModulus,
@@ -556,7 +555,8 @@ class FieldCtx:
         for _ in range(self.m - 1):
             cur = self.frob(cur, 1)
             acc = self.add(acc, cur)
-        assert acc < self.q, "trace landed outside the base field"
+        if acc >= self.q:
+            raise InternalInconsistency("trace landed outside the base field")
         return acc
 
     def smul(self, c: int, x: int) -> int:
@@ -714,9 +714,9 @@ def _gf2_rref(packed: list[int], ncols: int) -> list[int]:
     return pivots
 
 
-def _generic_rref(ctx: FieldCtx, rows: list[list[int]]) -> list[int]:
-    """In-place RREF over F_q with first-nonzero pivoting; returns pivots."""
-    qsub, qmul, qinv = ctx.qsub, ctx.qmul, ctx.qinv
+def _generic_rref(rows: list[list[int]], sub, mul, inv) -> list[int]:
+    """In-place RREF with first-nonzero pivoting over the field whose
+    arithmetic ``sub``/``mul``/``inv`` supply; returns the pivot columns."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -730,15 +730,15 @@ def _generic_rref(ctx: FieldCtx, rows: list[list[int]]) -> list[int]:
         if pr < 0:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = qinv(rows[r][c])
-        if inv != 1:
-            rows[r] = [qmul(inv, v) for v in rows[r]]
+        pinv = inv(rows[r][c])
+        if pinv != 1:
+            rows[r] = [mul(pinv, v) for v in rows[r]]
         prow = rows[r]
         for i in range(nrows):
             if i != r:
                 f = rows[i][c]
                 if f:
-                    rows[i] = [qsub(v, qmul(f, pj)) for v, pj in zip(rows[i], prow)]
+                    rows[i] = [sub(v, mul(f, pj)) for v, pj in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -756,7 +756,7 @@ def _rref_with_pivots(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> tuple[lis
         out = [[(v >> j) & 1 for j in range(ncols)] for v in packed]
         return out, pivots
     work = [list(r) for r in rows]
-    pivots = _generic_rref(ctx, work)
+    pivots = _generic_rref(work, ctx.qsub, ctx.qmul, ctx.qinv)
     return work, pivots
 
 
@@ -791,7 +791,12 @@ def rank(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
         packed = _gf2_pack_rows(rows)
         return len(_gf2_rref(packed, len(rows[0])))
     work = [list(r) for r in rows]
-    return len(_generic_rref(ctx, work))
+    return len(_generic_rref(work, ctx.qsub, ctx.qmul, ctx.qinv))
+
+
+def fqm_rank(ctx: FieldCtx, mat: Sequence[Sequence[int]]) -> int:
+    """Rank of a matrix with entries in F_{q^m}, over F_{q^m}."""
+    return len(_generic_rref([list(r) for r in mat], ctx.sub, ctx.mul, ctx.inv))
 
 
 def kernel_basis(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[list[int]]:
@@ -844,47 +849,14 @@ def solve(ctx: FieldCtx, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> l
     return v
 
 
-def _mat_inverse(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
-    n = len(rows)
-    aug = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
-    reduced, pivots = _rref_with_pivots(ctx, aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in reduced[:n]]
-
-
 # ---------------------------------------------------------------------------
 # matrix expansion, supports, subspaces
 
 
-def ext(ctx: FieldCtx, word: Sequence[int], basis: Sequence[int] | None = None) -> list[list[int]]:
-    """m x n expansion of a word: column j holds the coordinates of word[j].
-
-    With ``basis`` given (m independent elements of F_{q^m}), coordinates
-    are taken with respect to it instead of the polynomial basis.
-    """
-    m = ctx.m
-    if basis is None:
-        cols = [ctx.digits(x) for x in word]
-    else:
-        if len(basis) != m:
-            raise ValueError(f"basis must have exactly {m} elements")
-        t_rows = [[ctx.digit(basis[a], r) for a in range(m)] for r in range(m)]
-        t_inv = _mat_inverse(ctx, t_rows)
-        if t_inv is None:
-            raise DependentPoints("the supplied elements do not form a basis")
-        cols = []
-        for x in word:
-            d = ctx.digits(x)
-            cols.append(
-                tuple(
-                    functools.reduce(
-                        ctx.qadd, (ctx.qmul(t_inv[r][a], d[a]) for a in range(m)), 0
-                    )
-                    for r in range(m)
-                )
-            )
-    return [[col[r] for col in cols] for r in range(m)]
+def ext(ctx: FieldCtx, word: Sequence[int]) -> list[list[int]]:
+    """m x n expansion of a word: column j holds the coordinates of word[j]."""
+    cols = [ctx.digits(x) for x in word]
+    return [[col[r] for col in cols] for r in range(ctx.m)]
 
 
 def rank_weight(ctx: FieldCtx, word: Sequence[int]) -> int:
@@ -892,6 +864,16 @@ def rank_weight(ctx: FieldCtx, word: Sequence[int]) -> int:
     if not word:
         return 0
     return rank(ctx, ext(ctx, word))
+
+
+def stacked_rank(ctx: FieldCtx, mat: Sequence[Sequence[int]]) -> int:
+    """F_q-rank of the u*m x n expansion obtained by expanding every row."""
+    stacked: list[list[int]] = []
+    for row in mat:
+        stacked.extend(ext(ctx, row))
+    if not stacked:
+        return 0
+    return rank(ctx, stacked)
 
 
 @dataclass(frozen=True)

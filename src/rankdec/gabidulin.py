@@ -12,10 +12,13 @@ degree below k, rank of the residual error at most t) before being
 accepted, so out-of-model inputs surface as diagnosed failures instead of
 silent miscorrections.
 
-Codes of length n < m are decoded by composing Y with a co-interpolator
-G whose image is the span of the evaluation points; that turns the word
-into one of a full-length code of dimension k + m - n with the same error
-rank, and the message comes back out by exact right division by G.
+One core, _decode_rows, serves plain and interleaved codes alike: a plain
+word is the one-row case of u rows Y_1..Y_u sharing the locator L, with
+one numerator N_i per row.  Codes of length n < m are decoded there too,
+by composing each Y_i with a co-interpolator G whose image is the span of
+the evaluation points; that turns the word into one of a full-length code
+of dimension k + m - n with the same error rank, and the message comes
+back out by exact right division by G.
 """
 
 from __future__ import annotations
@@ -30,7 +33,14 @@ from .errors import (
     InternalInconsistency,
     RadiusTooLarge,
 )
-from .field import FieldCtx, _gf2_kernel_packed, col_support, kernel_basis, rank_weight
+from .field import (
+    FieldCtx,
+    _gf2_kernel_packed,
+    col_support,
+    kernel_basis,
+    rank_weight,
+    stacked_rank,
+)
 from .qpoly import QPoly, _fast_evaluator, co_interpolator, interpolate
 
 __all__ = [
@@ -179,18 +189,12 @@ def _locator_candidates(
                         v ^= low
                 packed_rows.extend(rowbuf)
         n_rows = len(packed_rows)
-        assert n_rows == u * n * m and ncols == m * (t + 1 + u * (k + t))
-        kern_packed = _gf2_kernel_packed(packed_rows, ncols)
+        kern = _gf2_kernel_packed(packed_rows, ncols)
         mask = (1 << m) - 1
-        kern_dim = len(kern_packed)
-        cands = []
-        for vec in kern_packed:
-            lam = QPoly(ctx, [(vec >> (e * m)) & mask for e in range(t + 1)])
-            nums = []
-            for i in range(u):
-                off = m * (t + 1) + i * m * blk
-                nums.append(QPoly(ctx, [(vec >> (off + l * m)) & mask for l in range(blk)]))
-            cands.append((lam, nums))
+
+        def coeff(vec, off):
+            return (vec >> off) & mask
+
     else:
         digit = ctx.digit
         rows: list[list[int]] = []
@@ -200,26 +204,122 @@ def _locator_candidates(
                 for d in range(m):
                     rows.append([digit(v, d) for v in kvals])
         n_rows = len(rows)
-        assert n_rows == u * n * m and ncols == m * (t + 1 + u * (k + t))
         kern = kernel_basis(ctx, rows, ncols)
-        kern_dim = len(kern)
-        cands = []
-        for vec in kern:
-            lam = QPoly(ctx, [ctx.pack(vec[e * m : (e + 1) * m]) for e in range(t + 1)])
-            nums = []
-            for i in range(u):
-                off = m * (t + 1) + i * m * blk
-                nums.append(
-                    QPoly(ctx, [ctx.pack(vec[off + l * m : off + (l + 1) * m]) for l in range(blk)])
-                )
-            cands.append((lam, nums))
+
+        def coeff(vec, off):
+            return ctx.pack(vec[off : off + m])
+
+    if n_rows != u * n * m:
+        raise InternalInconsistency(f"locator system has {n_rows} rows, expected {u * n * m}")
+    cands = []
+    for vec in kern:
+        lam = QPoly(ctx, [coeff(vec, e * m) for e in range(t + 1)])
+        nums = [
+            QPoly(ctx, [coeff(vec, m * (t + 1 + i * blk + l)) for l in range(blk)])
+            for i in range(u)
+        ]
+        cands.append((lam, nums))
     diag = {
         "system_rows": n_rows,
         "system_cols": ncols,
-        "kernel_dim": kern_dim,
-        "underdetermined": kern_dim > m,
+        "kernel_dim": len(kern),
+        "underdetermined": len(kern) > m,
     }
     return cands, diag
+
+
+def _accept(
+    code: GabidulinCode,
+    rows: Sequence[Sequence[int]],
+    msgs: Sequence[QPoly],
+    t: int,
+    locator: QPoly,
+    diag: dict,
+) -> DecodeOutcome | None:
+    """Success outcome if the messages' codewords lie within stacked rank
+    distance t of the received rows, else None."""
+    ctx = code.ctx
+    codewords = tuple(encode(code, msg) for msg in msgs)
+    errs = tuple(
+        tuple(ctx.sub(a, b) for a, b in zip(row, cw)) for row, cw in zip(rows, codewords)
+    )
+    if stacked_rank(ctx, errs) > t:
+        return None
+    return DecodeOutcome(
+        ok=True,
+        reason=None,
+        messages=tuple(msgs),
+        codewords=codewords,
+        errors=errs,
+        locator=locator,
+        diagnostics=diag,
+    )
+
+
+def _decode_rows(code: GabidulinCode, rows: tuple[tuple[int, ...], ...], t: int) -> DecodeOutcome:
+    """Joint decoding of validated received rows at radius t.
+
+    One row is a plain Gabidulin word; several rows share one locator.
+    Codes with n < m are carried into the full-length code of dimension
+    k + m - n by composing each row interpolator with a co-interpolator G
+    of the evaluation span, decoded there, and divided back by G.  For
+    words beyond the radius the inner decoder may validate a full-length
+    codeword outside the image of the short code; the division then leaves
+    a remainder, which is reported as a failure.
+    """
+    ctx = code.ctx
+    n, k, m = code.n, code.k, ctx.m
+    if n < m:
+        g_poly = co_interpolator(ctx, col_support(ctx, code.g))
+        lifted = [interpolate(ctx, code.g, row).compose(g_poly) for row in rows]
+        inner_rows = tuple(tuple(y.eval(b) for b in ctx.basis) for y in lifted)
+        inner = _decode_rows(GabidulinCode(ctx, ctx.basis, k + m - n), inner_rows, t)
+        if not inner.ok:
+            return inner
+        diag = inner.diagnostics
+        msgs = []
+        for inner_msg in inner.messages:
+            quot, rem = inner_msg.rdiv(g_poly)
+            if not rem.is_zero:
+                reason = "inner solution lies outside the short code (not right-divisible by G)"
+                return DecodeOutcome(ok=False, reason=reason, diagnostics=diag)
+            if quot.qdeg is not None and quot.qdeg >= k:
+                reason = "recovered message exceeds the code dimension"
+                return DecodeOutcome(ok=False, reason=reason, diagnostics=diag)
+            msgs.append(quot)
+        out = _accept(code, rows, msgs, t, inner.locator, diag)
+        if out is None:
+            reason = "validated inner solution does not match the received word"
+            out = DecodeOutcome(ok=False, reason=reason, diagnostics=diag)
+        return out
+
+    interps = [interpolate(ctx, code.g, row) for row in rows]
+    cands, diag = _locator_candidates(ctx, code.g, interps, k, t)
+    tried = 0
+    for lam, nums in cands:
+        if lam.is_zero:
+            # k + t stays below n for every admissible radius, so a zero
+            # locator forces zero numerators
+            if not all(num.is_zero for num in nums):
+                raise InternalInconsistency("zero locator with nonzero numerator")
+            continue
+        tried += 1
+        msgs = []
+        for num in nums:
+            quot, rem = num.rdiv(lam)
+            if not rem.is_zero or (quot.qdeg is not None and quot.qdeg >= k):
+                break
+            msgs.append(quot)
+        else:
+            out = _accept(code, rows, msgs, t, lam, {**diag, "candidates_tried": tried})
+            if out is not None:
+                return out
+    reason = (
+        "system underdetermined (kernel dimension exceeded m)"
+        if diag["underdetermined"]
+        else "no kernel candidate validated at radius t"
+    )
+    return DecodeOutcome(ok=False, reason=reason, diagnostics={**diag, "candidates_tried": tried})
 
 
 def decode_full(code: GabidulinCode, received: Sequence[int], t: int | None = None) -> DecodeOutcome:
@@ -230,115 +330,28 @@ def decode_full(code: GabidulinCode, received: Sequence[int], t: int | None = No
     at most t from the received word exists, it is found and every
     validated candidate yields the same message.
     """
-    ctx = code.ctx
-    n, k = code.n, code.k
-    if n != ctx.m:
+    if code.n != code.ctx.m:
         raise ValueError("decode_full requires a full-length code (n = m)")
-    max_t = (n - k) // 2
-    if t is None:
-        t = max_t
-    if not 0 <= t <= max_t:
-        raise RadiusTooLarge(f"radius t={t} outside [0, {max_t}]")
-    received = tuple(received)
-    if len(received) != n:
-        raise ValueError(f"received word has length {len(received)}, expected {n}")
-    ctx.check_word(received)
-
-    y_poly = interpolate(ctx, code.g, received)
-    cands, diag = _locator_candidates(ctx, code.g, (y_poly,), k, t)
-    tried = 0
-    for lam, (num,) in cands:
-        if lam.is_zero:
-            # with k + t <= n a zero locator forces a zero numerator
-            assert num.is_zero, "zero locator with nonzero numerator"
-            continue
-        tried += 1
-        quot, rem = num.rdiv(lam)
-        if not rem.is_zero:
-            continue
-        if quot.qdeg is not None and quot.qdeg >= k:
-            continue
-        codeword = encode(code, quot)
-        error = tuple(ctx.sub(a, b) for a, b in zip(received, codeword))
-        if rank_weight(ctx, error) > t:
-            continue
-        return DecodeOutcome(
-            ok=True,
-            reason=None,
-            messages=(quot,),
-            codewords=(codeword,),
-            errors=(error,),
-            locator=lam,
-            diagnostics={**diag, "candidates_tried": tried},
-        )
-    return DecodeOutcome(
-        ok=False,
-        reason="no kernel candidate validated at radius t",
-        diagnostics={**diag, "candidates_tried": tried},
-    )
+    return decode_general(code, received, t)
 
 
 def decode_general(code: GabidulinCode, received: Sequence[int], t: int | None = None) -> DecodeOutcome:
     """Decode any length n <= m up to t <= floor((n-k)/2) rank errors.
 
-    Full-length codes go straight to decode_full.  Otherwise the word is
-    carried into a full-length code of dimension k + m - n by composing
-    its interpolator with a co-interpolator G of the evaluation span, and
-    the recovered polynomial is divided back by G (exactly; a nonzero
-    remainder would mean the inner decoder validated a word outside the
-    image structure, which cannot happen for in-model inputs).
+    Short codes are lifted to full length through a co-interpolator of
+    the evaluation span and the message is divided back out (see
+    _decode_rows).
     """
-    ctx = code.ctx
-    n, k, m = code.n, code.k, ctx.m
-    if n == m:
-        return decode_full(code, received, t)
-    max_t = (n - k) // 2
+    max_t = (code.n - code.k) // 2
     if t is None:
         t = max_t
     if not 0 <= t <= max_t:
         raise RadiusTooLarge(f"radius t={t} outside [0, {max_t}]")
     received = tuple(received)
-    if len(received) != n:
-        raise ValueError(f"received word has length {len(received)}, expected {n}")
-    ctx.check_word(received)
-
-    y_poly = interpolate(ctx, code.g, received)
-    span_g = col_support(ctx, code.g)
-    g_poly = co_interpolator(ctx, span_g)
-    lifted = y_poly.compose(g_poly)
-    inner_code = GabidulinCode(ctx, ctx.basis, k + m - n)
-    inner_word = tuple(lifted.eval(b) for b in ctx.basis)
-    inner = decode_full(inner_code, inner_word, t)
-    if not inner.ok:
-        return DecodeOutcome(ok=False, reason=inner.reason, diagnostics=inner.diagnostics)
-    quot, rem = inner.message.rdiv(g_poly)
-    if not rem.is_zero:
-        raise InternalInconsistency(
-            "recovered polynomial is not right-divisible by the co-interpolator"
-        )
-    if quot.qdeg is not None and quot.qdeg >= k:
-        return DecodeOutcome(
-            ok=False,
-            reason="recovered message exceeds the code dimension",
-            diagnostics=inner.diagnostics,
-        )
-    codeword = encode(code, quot)
-    error = tuple(ctx.sub(a, b) for a, b in zip(received, codeword))
-    if rank_weight(ctx, error) > t:
-        return DecodeOutcome(
-            ok=False,
-            reason="validated inner solution does not match the received word",
-            diagnostics=inner.diagnostics,
-        )
-    return DecodeOutcome(
-        ok=True,
-        reason=None,
-        messages=(quot,),
-        codewords=(codeword,),
-        errors=(error,),
-        locator=inner.locator,
-        diagnostics=inner.diagnostics,
-    )
+    if len(received) != code.n:
+        raise ValueError(f"received word has length {len(received)}, expected {code.n}")
+    code.ctx.check_word(received)
+    return _decode_rows(code, (received,), t)
 
 
 def code_to_json(code: GabidulinCode) -> dict:

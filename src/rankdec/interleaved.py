@@ -13,31 +13,30 @@ zeta < u), rows contribute dependent equations and the system goes
 underdetermined exactly when zeta < t/(n-k-t); failure_predicate tests
 that condition.
 
-Codes of length n < m are lifted row by row through the same
-co-interpolator transform as the plain decoder (the shared row support
-survives the transform), decoded at full length, and divided back.
+Decoding itself is gabidulin._decode_rows, the same core the plain
+decoder runs with a single row; codes of length n < m are lifted there,
+row by row, through the co-interpolator transform (the shared row
+support survives the transform), decoded at full length, and divided
+back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import (
-    DegreeTooLarge,
-    InternalInconsistency,
-    InvalidRegime,
-    RadiusTooLarge,
-    WrongCount,
-)
-from .field import FieldCtx, col_support, ext, rank
+from .errors import DegreeTooLarge, InvalidRegime, RadiusTooLarge, WrongCount
+from .field import FieldCtx, fqm_rank, stacked_rank
 from .gabidulin import (
     DecodeOutcome,
     GabidulinCode,
+    _decode_rows,
     _locator_candidates,
     encode,
 )
-from .qpoly import QPoly, co_interpolator, interpolate
+# co_interpolator is not called here; it stays a module attribute so that
+# instrumentation wrapping it from outside keeps working
+from .qpoly import QPoly, co_interpolator, interpolate  # noqa: F401
 
 __all__ = [
     "InterleavedCode",
@@ -105,45 +104,6 @@ def iencode(icode: InterleavedCode, msgs: Sequence[QPoly]) -> tuple[tuple[int, .
     return tuple(encode(icode.base, msg) for msg in msgs)
 
 
-def fqm_rank(ctx: FieldCtx, mat: Sequence[Sequence[int]]) -> int:
-    """Rank of a matrix with entries in F_{q^m}, over F_{q^m}."""
-    rows = [list(r) for r in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(rk, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = ctx.inv(rows[rk][c])
-        prow = [ctx.mul(inv, v) for v in rows[rk]]
-        rows[rk] = prow
-        for i in range(len(rows)):
-            if i != rk and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [ctx.sub(v, ctx.mul(f, pv)) for v, pv in zip(rows[i], prow)]
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
-
-
-def stacked_rank(ctx: FieldCtx, mat: Sequence[Sequence[int]]) -> int:
-    """F_q-rank of the u*m x n expansion obtained by expanding every row."""
-    stacked: list[list[int]] = []
-    for row in mat:
-        stacked.extend(ext(ctx, row))
-    if not stacked:
-        return 0
-    return rank(ctx, stacked)
-
-
 def max_radius(icode: InterleavedCode) -> int:
     """floor(u * (n - k) / (u + 1)), the interleaved decoding radius."""
     return icode.u * (icode.n - icode.k) // (icode.u + 1)
@@ -158,106 +118,6 @@ def failure_predicate(n: int, k: int, t: int, zeta: int) -> bool:
     if zeta < 1:
         raise InvalidRegime("zeta must be at least 1")
     return zeta * (n - k - t) < t
-
-
-def _idecode_core(icode: InterleavedCode, word, t: int) -> DecodeOutcome:
-    """Full-length (n = m) interleaved decoding at radius t."""
-    ctx = icode.ctx
-    base = icode.base
-    n, k, u = icode.n, icode.k, icode.u
-    interps = [interpolate(ctx, base.g, row) for row in word]
-    cands, diag = _locator_candidates(ctx, base.g, interps, k, t)
-    tried = 0
-    for lam, nums in cands:
-        if lam.is_zero:
-            # k + t stays below n for every admissible radius
-            assert all(num.is_zero for num in nums), "zero locator with nonzero numerator"
-            continue
-        tried += 1
-        msgs = []
-        for num in nums:
-            quot, rem = num.rdiv(lam)
-            if not rem.is_zero or (quot.qdeg is not None and quot.qdeg >= k):
-                msgs = None
-                break
-            msgs.append(quot)
-        if msgs is None:
-            continue
-        codewords = tuple(encode(base, msg) for msg in msgs)
-        errs = tuple(
-            tuple(ctx.sub(a, b) for a, b in zip(wrow, crow))
-            for wrow, crow in zip(word, codewords)
-        )
-        if stacked_rank(ctx, errs) > t:
-            continue
-        return DecodeOutcome(
-            ok=True,
-            reason=None,
-            messages=tuple(msgs),
-            codewords=codewords,
-            errors=errs,
-            locator=lam,
-            diagnostics={**diag, "candidates_tried": tried},
-        )
-    reason = (
-        "system underdetermined (kernel dimension exceeded m)"
-        if diag["underdetermined"]
-        else "no kernel candidate validated at radius t"
-    )
-    return DecodeOutcome(ok=False, reason=reason, diagnostics={**diag, "candidates_tried": tried})
-
-
-def _idecode_at(icode: InterleavedCode, word, t: int) -> DecodeOutcome:
-    ctx = icode.ctx
-    n, k, m, u = icode.n, icode.k, icode.ctx.m, icode.u
-    if n == m:
-        return _idecode_core(icode, word, t)
-    # lift to full length through a co-interpolator of the evaluation span
-    span_g = col_support(ctx, icode.base.g)
-    g_poly = co_interpolator(ctx, span_g)
-    lifted_rows = []
-    for row in word:
-        y_poly = interpolate(ctx, icode.base.g, row)
-        lifted = y_poly.compose(g_poly)
-        lifted_rows.append(tuple(lifted.eval(b) for b in ctx.basis))
-    inner_base = GabidulinCode(ctx, ctx.basis, k + m - n)
-    inner = _idecode_core(InterleavedCode(inner_base, u), tuple(lifted_rows), t)
-    if not inner.ok:
-        return inner
-    msgs = []
-    for inner_msg in inner.messages:
-        quot, rem = inner_msg.rdiv(g_poly)
-        if not rem.is_zero:
-            raise InternalInconsistency(
-                "recovered polynomial is not right-divisible by the co-interpolator"
-            )
-        if quot.qdeg is not None and quot.qdeg >= k:
-            return DecodeOutcome(
-                ok=False,
-                reason="recovered message exceeds the code dimension",
-                diagnostics=inner.diagnostics,
-            )
-        msgs.append(quot)
-    codewords = tuple(encode(icode.base, msg) for msg in msgs)
-    errs = tuple(
-        tuple(ctx.sub(a, b) for a, b in zip(wrow, crow))
-        for wrow, crow in zip(word, codewords)
-    )
-    if stacked_rank(ctx, errs) > t:
-        return DecodeOutcome(
-            ok=False,
-            reason="validated inner solution does not match the received word",
-            diagnostics=inner.diagnostics,
-        )
-    return DecodeOutcome(
-        ok=True,
-        reason=None,
-        messages=tuple(msgs),
-        codewords=codewords,
-        errors=errs,
-        locator=inner.locator,
-        diagnostics=inner.diagnostics,
-    )
 
 
 def idecode(
@@ -278,22 +138,14 @@ def idecode(
         t = top
     if not 0 <= t <= top:
         raise RadiusTooLarge(f"radius t={t} outside [0, {top}]")
-    out = _idecode_at(icode, word, t)
+    out = _decode_rows(icode.base, word, t)
     if out.ok or not retry:
         return out
     floor_r = (icode.n - icode.k) // 2
     for lower in range(t - 1, floor_r - 1, -1):
-        attempt = _idecode_at(icode, word, lower)
+        attempt = _decode_rows(icode.base, word, lower)
         if attempt.ok:
-            return DecodeOutcome(
-                ok=True,
-                reason=None,
-                messages=attempt.messages,
-                codewords=attempt.codewords,
-                errors=attempt.errors,
-                locator=attempt.locator,
-                diagnostics={**attempt.diagnostics, "retried_t": lower},
-            )
+            return replace(attempt, diagnostics={**attempt.diagnostics, "retried_t": lower})
     return out
 
 

@@ -332,7 +332,8 @@ def right_annihilator(poly: QPoly, t: int) -> QPoly:
         raise RankMismatch(f"declared rank {t} but the map has rank {actual}")
     g = co_interpolator(ctx, poly.kernel())
     deg = g.qdeg
-    assert deg == t, "co-interpolator degree must equal the rank"
+    if deg != t:
+        raise InternalInconsistency("co-interpolator degree must equal the rank")
     # make it monic by composing with a scalar map on the right, which
     # keeps the image (left scaling would not)
     c = ctx.frob(ctx.inv(g.coeffs[deg]), (ctx.m - deg) % ctx.m)

@@ -3,7 +3,6 @@
 import pytest
 
 from rankdec import (
-    ErrorSpec,
     Prng,
     RankInfeasible,
     col_support,
@@ -114,8 +113,3 @@ def test_random_code_and_message_profiles():
     full = random_code(ctx, 8, 3, 5)
     assert col_support(ctx, full.g).dim == 8  # g spans the whole field
 
-
-def test_error_spec_is_plain_data():
-    spec = ErrorSpec(t=3, zeta=2, seed=99)
-    assert (spec.t, spec.zeta, spec.seed) == (3, 2, 99)
-    assert ErrorSpec(3) == ErrorSpec(3, None, 0)

@@ -212,9 +212,14 @@ def test_ext_rank_does_not_depend_on_basis():
     ctx = field_create(2, 5)
     rng = make_rng(13)
     other = rand_independent(ctx, rng, 5)
+    # coordinates in the basis `other` solve T c = digits(x), T's columns
+    # being the digits of the basis elements
+    t_rows = [[ctx.digit(b, r) for b in other] for r in range(5)]
     for _ in range(50):
         word = tuple(rand_elem(ctx, rng) for _ in range(4))
-        assert rank(ctx, ext(ctx, word)) == rank(ctx, ext(ctx, word, basis=other))
+        cols = [solve(ctx, t_rows, ctx.digits(x)) for x in word]
+        other_ext = [[col[r] for col in cols] for r in range(5)]
+        assert rank(ctx, ext(ctx, word)) == rank(ctx, other_ext)
 
 
 def test_subspace_canonical_equality():

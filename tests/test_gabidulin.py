@@ -177,6 +177,41 @@ def test_decode_general_short_code_round_trips():
         decode_general(code, encode(code, msg), 3)
 
 
+def test_lifted_decode_beyond_radius_fails_without_raising():
+    # beyond the radius the inner full-length decoder may validate a
+    # codeword outside the short code's image; that is a failure, not a raise
+    ctx = field_create(2, 10)
+    s = derive_seed(777, 0)
+    code = random_code(ctx, 7, 3, derive_seed(s, 1))
+    msg = random_message(ctx, 3, derive_seed(s, 2))
+    err = random_error_vector(ctx, 7, 3, derive_seed(s, 3))
+    out = decode_general(code, _noisy_word(ctx, code, msg, err))
+    assert not out.ok and "outside the short code" in out.reason
+    assert out.messages == () and out.diagnostics["candidates_tried"] >= 1
+
+    outside = 0
+    for q, m, n, k in ((2, 10, 7, 3), (2, 8, 6, 2), (2, 12, 11, 3), (3, 6, 5, 1)):
+        ctx = field_create(q, m)
+        t_max = (n - k) // 2
+        for r in (t_max + 1, t_max + 2):
+            base = derive_seed(31, q * 1000 + m * 100 + n * 10 + k + r * 10000)
+            for trial in range(20):
+                s = derive_seed(base, trial)
+                code = random_code(ctx, n, k, derive_seed(s, 1))
+                msg = random_message(ctx, k, derive_seed(s, 2))
+                err = random_error_vector(ctx, n, r, derive_seed(s, 3))
+                word = _noisy_word(ctx, code, msg, err)
+                for t in range(t_max + 1):
+                    out = decode_general(code, word, t)
+                    if out.ok:
+                        assert out.codeword == encode(code, out.message)
+                        assert rank_weight(ctx, out.error) <= t
+                        assert tuple(ctx.sub(a, b) for a, b in zip(word, out.codeword)) == out.error
+                    else:
+                        outside += "outside the short code" in out.reason
+    assert outside > 0
+
+
 def test_decode_outcome_diagnostics_shape():
     ctx = field_create(2, 8)
     code = random_code(ctx, 8, 2, seed=21)

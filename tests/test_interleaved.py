@@ -134,20 +134,26 @@ def test_idecode_error_free_all_radii():
 
 
 def test_idecode_u1_matches_plain_decoder():
-    ctx = field_create(2, 8)
-    for trial in range(30):
-        s = derive_seed(12, trial)
-        code = random_code(ctx, 8, 2, derive_seed(s, 1))
-        icode = icode_new(code, 1)
-        msg = random_message(ctx, 2, derive_seed(s, 2))
-        from rankdec import random_error_vector
+    # one row is a plain word: whole outcomes agree at full length and on a
+    # lifted n < m code, within the radius and one error rank beyond it
+    from rankdec import random_error_vector
 
-        err = random_error_vector(ctx, 8, 3, derive_seed(s, 3))
-        word = tuple(ctx.add(a, b) for a, b in zip(encode(code, msg), err))
-        joint = idecode(icode, (word,), 3)
-        plain = decode_general(code, word, 3)
-        assert joint.ok and plain.ok
-        assert joint.messages == (plain.message,)
+    for m, n, k in ((8, 8, 2), (10, 7, 3)):
+        ctx = field_create(2, m)
+        t = (n - k) // 2
+        for trial in range(30):
+            s = derive_seed(12, trial)
+            code = random_code(ctx, n, k, derive_seed(s, 1))
+            icode = icode_new(code, 1)
+            msg = random_message(ctx, k, derive_seed(s, 2))
+            for r in (t, t + 1):
+                err = random_error_vector(ctx, n, r, derive_seed(s, 3))
+                word = tuple(ctx.add(a, b) for a, b in zip(encode(code, msg), err))
+                joint = idecode(icode, (word,), t)
+                plain = decode_general(code, word, t)
+                assert joint == plain
+                if r == t:
+                    assert plain.ok and plain.messages == (msg,)
 
 
 def test_idecode_within_unique_radius_never_fails():
