@@ -6,16 +6,20 @@ F_{q^m} is an int in [0, q^m) whose base-q digits are its coordinates in
 the polynomial basis B = (1, a, ..., a^(m-1)), a being the class of X
 modulo ``ext_modulus``.  The two packings agree (both are base-p digit
 strings), so addition of packed values is digit-wise mod p at every level,
-plain XOR in characteristic two.  Multiplication goes through log/antilog
-tables whenever the field has at most 2**18 elements, and through explicit
-polynomial arithmetic modulo the defining polynomial otherwise.
+plain XOR in characteristic two.
+
+Each level is a context: FieldCtx(q, m) is F_{q^m} over its F_q, and that
+F_q is FieldCtx(p, s) over F_p (plain mod-p arithmetic when s = 1).  Each
+context owns its multiplication: log/antilog tables when it has at most
+2**18 elements, and polynomial arithmetic modulo its defining polynomial
+otherwise.
 
 Moduli are chosen deterministically when omitted: the monic irreducible
 polynomial whose non-leading coefficients, read high to low as a base-q
 (resp. base-p) integer, are smallest.  Two contexts built from the same
 (q, m) therefore carry identical arithmetic.
 
-A matrix over F_q is a list of rows, each row a list of packed ints.
+A matrix over F_q is a list of equal-length rows, each a list of packed ints.
 ``rref``/``rank``/``kernel_basis``/``solve`` use deterministic
 first-nonzero pivoting so every downstream computation, decoders included,
 is reproducible bit for bit.
@@ -133,8 +137,8 @@ def _digitwise_neg(x: int, p: int) -> int:
 # polynomials over an arbitrary level of the tower
 #
 # Coefficient lists are little-endian with no trailing zeros; the ops
-# object supplies scalar arithmetic (duck type: size, p, add, sub, neg,
-# mul, inv).
+# object supplies scalar arithmetic (duck type: order, p, add, sub, neg,
+# mul, inv), so a _PrimeOps or a FieldCtx serves.
 
 
 def _ptrim(c: list[int]) -> list[int]:
@@ -231,15 +235,15 @@ def _is_irreducible(F, f: Sequence[int]) -> bool:
     x = [0, 1]
     cur = x
     for _ in range(deg // 2):
-        cur = _ppowmod(F, cur, F.size, f)
+        cur = _ppowmod(F, cur, F.order, f)
         if len(_pgcd(F, _psub(F, cur, x), f)) != 1:
             return False
     return True
 
 
 def _smallest_irreducible(F, deg: int) -> tuple[int, ...]:
-    for packed in range(F.size**deg):
-        f = _unpack_base(packed, F.size, deg) + [1]
+    for packed in range(F.order**deg):
+        f = _unpack_base(packed, F.order, deg) + [1]
         if _is_irreducible(F, f):
             return tuple(f)
     raise InternalInconsistency(
@@ -254,11 +258,11 @@ def _smallest_irreducible(F, deg: int) -> tuple[int, ...]:
 class _PrimeOps:
     """Arithmetic of the prime field F_p on ints in [0, p)."""
 
-    __slots__ = ("p", "size")
+    __slots__ = ("p", "order")
 
     def __init__(self, p: int):
         self.p = p
-        self.size = p
+        self.order = p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -278,118 +282,30 @@ class _PrimeOps:
         return pow(a, self.p - 2, self.p)
 
 
-def _elt_pow(ops, x: int, e: int) -> int:
-    result = 1
-    acc = x
-    while e:
-        if e & 1:
-            result = ops._mul_slow(result, acc)
-        acc = ops._mul_slow(acc, acc)
-        e >>= 1
-    return result
-
-
-def _find_generator(ops) -> int:
-    period = ops.size - 1
+def _find_generator(ctx) -> int:
+    period = ctx.order - 1
     if period == 1:
         return 1
     primes = _factorize(period)
-    for cand in range(2, ops.size):
-        if all(_elt_pow(ops, cand, period // r) != 1 for r in primes):
+    for cand in range(2, ctx.order):
+        if all(ctx.pow(cand, period // r) != 1 for r in primes):
             return cand
     raise InternalInconsistency("multiplicative group has no generator")  # pragma: no cover
 
 
-class _ExtOps:
-    """Arithmetic of ground[X]/(modulus) on packed ints."""
-
-    __slots__ = ("ground", "p", "extdeg", "size", "modulus", "exp", "log", "period")
-
-    def __init__(self, ground, modulus: Sequence[int]):
-        self.ground = ground
-        self.p = ground.p
-        self.extdeg = len(modulus) - 1
-        self.size = ground.size**self.extdeg
-        self.modulus = tuple(modulus)
-        self.exp: list[int] | None = None
-        self.log: list[int] | None = None
-        self.period = self.size - 1
-        if self.size <= _TABLE_CAP:
-            self._build_tables()
-
-    def unpack(self, x: int) -> list[int]:
-        return _unpack_base(x, self.ground.size, self.extdeg)
-
-    def pack(self, digits: Iterable[int]) -> int:
-        out = 0
-        shift = 1
-        for d in digits:
-            out += d * shift
-            shift *= self.ground.size
-        return out
-
-    def add(self, a, b):
-        return _digitwise_add(a, b, self.p)
-
-    def sub(self, a, b):
-        return _digitwise_add(a, _digitwise_neg(b, self.p), self.p)
-
-    def neg(self, a):
-        return _digitwise_neg(a, self.p)
-
-    def _mul_slow(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        g = self.ground
-        d = self.extdeg
-        a = self.unpack(x)
-        b = self.unpack(y)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] = g.add(conv[i + j], g.mul(ai, bj))
-        for e in range(2 * d - 2, d - 1, -1):
-            c = conv[e]
-            if c:
-                conv[e] = 0
-                off = e - d
-                for i in range(d):
-                    mi = self.modulus[i]
-                    if mi:
-                        conv[off + i] = g.sub(conv[off + i], g.mul(c, mi))
-        return self.pack(conv[:d])
-
-    def _build_tables(self) -> None:
-        gen = _find_generator(self)
-        exp = [0] * max(self.period, 1)
-        log = [-1] * self.size
-        acc = 1
-        for i in range(self.period):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_slow(acc, gen)
-        if acc != 1:  # pragma: no cover
-            raise InternalInconsistency("generator order mismatch")
-        self.exp = exp
-        self.log = log
-
-    def mul(self, x, y):
-        if x == 0 or y == 0:
-            return 0
-        if self.exp is not None:
-            return self.exp[(self.log[x] + self.log[y]) % self.period]
-        return self._mul_slow(x, y)
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.exp is not None:
-            return self.exp[(-self.log[x]) % self.period]
-        g = self.ground
-        digits = _pinvmod(g, _ptrim(self.unpack(x)), list(self.modulus))
-        return self.pack(digits + [0] * (self.extdeg - len(digits)))
+def _modulus(F, given, deg: int, name: str, over: str) -> tuple[int, ...]:
+    """The default modulus of degree deg over F, or the given one once it
+    is checked to be monic and irreducible."""
+    if given is None:
+        return _smallest_irreducible(F, deg)
+    given = tuple(int(c) for c in given)
+    if len(given) != deg + 1 or any(not 0 <= c < F.order for c in given):
+        raise ReducibleModulus(
+            f"{name} modulus must be monic of degree {deg} with coefficients in [0, {F.order})"
+        )
+    if not _is_irreducible(F, given):
+        raise ReducibleModulus(f"{name} modulus is reducible over {over}")
+    return given
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +335,9 @@ class FieldCtx:
         "ext_modulus",
         "basis",
         "_base",
-        "_ext",
+        "_exp",
+        "_log",
+        "_period",
         "_qexp",
         "_qpows",
         "_frob_cols",
@@ -439,49 +357,68 @@ class FieldCtx:
         self.order = q**m
 
         prime = _PrimeOps(p)
-        if base_modulus is None:
-            base_modulus = (0, 1) if s == 1 else _smallest_irreducible(prime, s)
-        else:
-            base_modulus = tuple(int(c) for c in base_modulus)
-            if len(base_modulus) != s + 1 or any(not 0 <= c < p for c in base_modulus):
-                raise ReducibleModulus(
-                    f"base modulus must be monic of degree {s} with coefficients in [0, {p})"
-                )
-            if not _is_irreducible(prime, base_modulus):
-                raise ReducibleModulus("base modulus is reducible over the prime field")
-        self.base_modulus = base_modulus
-        self._base = prime if s == 1 else _ExtOps(prime, base_modulus)
-
-        if ext_modulus is None:
-            ext_modulus = (0, 1) if m == 1 else _smallest_irreducible(self._base, m)
-        else:
-            ext_modulus = tuple(int(c) for c in ext_modulus)
-            if len(ext_modulus) != m + 1 or any(not 0 <= c < q for c in ext_modulus):
-                raise ReducibleModulus(
-                    f"extension modulus must be monic of degree {m} with coefficients in [0, {q})"
-                )
-            if not _is_irreducible(self._base, ext_modulus):
-                raise ReducibleModulus("extension modulus is reducible over F_q")
-        self.ext_modulus = ext_modulus
-        self._ext = self._base if m == 1 else _ExtOps(self._base, ext_modulus)
+        self.base_modulus = _modulus(prime, base_modulus, s, "base", "the prime field")
+        self._base = prime if s == 1 else field_create(p, s, None, self.base_modulus)
+        self.ext_modulus = _modulus(self._base, ext_modulus, m, "extension", "F_q")
 
         self.basis = tuple(q**a for a in range(m))
         self._qpows = tuple(q**a for a in range(m + 1))
-        if m > 1 and isinstance(self._ext, _ExtOps) and self._ext.exp is not None:
-            self._qexp = tuple(pow(q, i, self._ext.period) for i in range(m))
+        self._exp = self._log = self._qexp = self._frob_cols = None
+        self._period = self.order - 1
+        if self.order <= _TABLE_CAP:
+            self._build_tables()
+            self._qexp = tuple(pow(q, i, self._period) for i in range(m))
         else:
-            self._qexp = None
-        self._frob_cols = self._build_frob_columns()
+            self._frob_cols = self._build_frob_columns()
+
+    def _mul_slow(self, x: int, y: int) -> int:
+        if x == 0 or y == 0:
+            return 0
+        g = self._base
+        q = self.q
+        d = self.m
+        a = _unpack_base(x, q, d)
+        b = _unpack_base(y, q, d)
+        conv = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] = g.add(conv[i + j], g.mul(ai, bj))
+        for e in range(2 * d - 2, d - 1, -1):
+            c = conv[e]
+            if c:
+                conv[e] = 0
+                off = e - d
+                for i in range(d):
+                    mi = self.ext_modulus[i]
+                    if mi:
+                        conv[off + i] = g.sub(conv[off + i], g.mul(c, mi))
+        out = 0
+        shift = 1
+        for c in conv[:d]:
+            out += c * shift
+            shift *= q
+        return out
+
+    def _build_tables(self) -> None:
+        gen = _find_generator(self)
+        exp = [0] * max(self._period, 1)
+        log = [-1] * self.order
+        acc = 1
+        for i in range(self._period):
+            exp[i] = acc
+            log[acc] = i
+            acc = self._mul_slow(acc, gen)
+        if acc != 1:  # pragma: no cover
+            raise InternalInconsistency("generator order mismatch")
+        self._exp = exp
+        self._log = log
 
     def _build_frob_columns(self):
         # columns of x -> x^(q^i) in basis B, for table-less contexts only
-        if self.m == 1 or self._qexp is not None:
-            return None
-        ext_ops = self._ext
         m = self.m
-        cols1 = tuple(
-            tuple(self.digits(_elt_pow(ext_ops, self.basis[a], self.q))) for a in range(m)
-        )
+        cols1 = tuple(tuple(self.digits(self.pow(b, self.q))) for b in self.basis)
         mats = [tuple(tuple(1 if r == a else 0 for r in range(m)) for a in range(m)), cols1]
         for _ in range(2, m):
             prev = mats[-1]
@@ -510,34 +447,48 @@ class FieldCtx:
         return _digitwise_neg(x, self.p)
 
     def mul(self, x: int, y: int) -> int:
-        return self._ext.mul(x, y)
+        if x == 0 or y == 0:
+            return 0
+        if self._exp is not None:
+            return self._exp[(self._log[x] + self._log[y]) % self._period]
+        return self._mul_slow(x, y)
 
     def inv(self, x: int) -> int:
-        return self._ext.inv(x)
+        if x == 0:
+            raise ZeroDivisionError("inverse of zero")
+        if self._exp is not None:
+            return self._exp[(-self._log[x]) % self._period]
+        digits = _pinvmod(self._base, _ptrim(_unpack_base(x, self.q, self.m)), self.ext_modulus)
+        return self.pack(digits)
 
     def div(self, x: int, y: int) -> int:
-        return self._ext.mul(x, self._ext.inv(y))
+        y = self.inv(y)
+        if x == 0 or self._exp is None:
+            return self._mul_slow(x, y)
+        return self._exp[(self._log[x] + self._log[y]) % self._period]
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(x), -e)
         if x == 0:
             return 1 if e == 0 else 0
-        ext_ops = self._ext
-        if isinstance(ext_ops, _ExtOps):
-            if ext_ops.exp is not None:
-                return ext_ops.exp[(ext_ops.log[x] * e) % ext_ops.period]
-            return _elt_pow(ext_ops, x, e)
-        return pow(x, e, self.p)
+        if self._exp is not None:
+            return self._exp[(self._log[x] * e) % self._period]
+        result = 1
+        while e:
+            if e & 1:
+                result = self._mul_slow(result, x)
+            x = self._mul_slow(x, x)
+            e >>= 1
+        return result
 
     def frob(self, x: int, i: int = 1) -> int:
         """x raised to the q^i power (the i-fold Frobenius)."""
         i %= self.m
-        if i == 0 or x == 0 or self.m == 1:
+        if i == 0 or x == 0:
             return x
-        ext_ops = self._ext
-        if self._qexp is not None:
-            return ext_ops.exp[(ext_ops.log[x] * self._qexp[i]) % ext_ops.period]
+        if self._exp is not None:
+            return self._exp[(self._log[x] * self._qexp[i]) % self._period]
         cols = self._frob_cols[i]
         acc = [0] * self.m
         for a, d in enumerate(self.digits(x)):
@@ -605,7 +556,7 @@ class FieldCtx:
     # -- plumbing -----------------------------------------------------------
 
     def is_elem(self, x) -> bool:
-        return isinstance(x, int) and 0 <= x < self.order
+        return issubclass(type(x), int) and 0 <= x < self.order
 
     def check_word(self, word: Sequence[int]) -> None:
         for x in word:
@@ -643,7 +594,7 @@ class FieldCtx:
 
     def __eq__(self, other):
         return (
-            isinstance(other, FieldCtx)
+            type(other) is FieldCtx
             and self.q == other.q
             and self.m == other.m
             and self.base_modulus == other.base_modulus
@@ -671,6 +622,28 @@ def field_create(q: int, m: int, base_modulus=None, ext_modulus=None) -> FieldCt
     bm = tuple(int(c) for c in base_modulus) if base_modulus is not None else None
     em = tuple(int(c) for c in ext_modulus) if ext_modulus is not None else None
     return _field_cached(q, m, bm, em)
+
+
+def _fast_evaluator(poly):
+    """Callable equivalent to ``poly.eval`` for a QPoly, specialized for
+    characteristic-two contexts with multiplication tables (the decoder's
+    inner loop)."""
+    ctx = poly.ctx
+    if ctx.p != 2 or ctx._exp is None:
+        return poly.eval
+    exp, log, period = ctx._exp, ctx._log, ctx._period
+    terms = [(log[c], ctx._qexp[i]) for i, c in enumerate(poly.coeffs) if c]
+
+    def ev(x):
+        if x == 0:
+            return 0
+        lx = log[x]
+        acc = 0
+        for lc, qi in terms:
+            acc ^= exp[(lc + lx * qi) % period]
+        return acc
+
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -746,10 +719,19 @@ def _generic_rref(rows: list[list[int]], sub, mul, inv) -> list[int]:
     return pivots
 
 
+def _width(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
+    """Column count of a nonempty matrix, checked against every row."""
+    if ncols is None:
+        ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"every row of the matrix must have {ncols} entries")
+    return ncols
+
+
 def _rref_with_pivots(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    ncols = _width(rows)
     if ctx.q == 2:
         packed = _gf2_pack_rows(rows)
         pivots = _gf2_rref(packed, ncols)
@@ -787,9 +769,10 @@ def rref(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def rank(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
+    ncols = _width(rows)
     if ctx.q == 2:
         packed = _gf2_pack_rows(rows)
-        return len(_gf2_rref(packed, len(rows[0])))
+        return len(_gf2_rref(packed, ncols))
     work = [list(r) for r in rows]
     return len(_generic_rref(work, ctx.qsub, ctx.qmul, ctx.qinv))
 
@@ -805,13 +788,11 @@ def kernel_basis(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int | None
     Deterministic: the same matrix always yields the same basis, in the
     same order.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols is required for a matrix with no rows")
-        ncols = len(rows[0])
     if not rows:
-        vecs = [[1 if j == f else 0 for j in range(ncols)] for f in range(ncols)]
-        return vecs
+        if ncols is None:
+            raise ValueError("ncols is required for a matrix with no rows")
+        return [[1 if j == f else 0 for j in range(ncols)] for f in range(ncols)]
+    ncols = _width(rows, ncols)
     if ctx.q == 2:
         packed = _gf2_kernel_packed(_gf2_pack_rows(rows), ncols)
         return [[(v >> j) & 1 for j in range(ncols)] for v in packed]
@@ -838,7 +819,7 @@ def solve(ctx: FieldCtx, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> l
         raise ValueError("rhs length must match the number of rows")
     if not rows:
         return None
-    ncols = len(rows[0])
+    ncols = _width(rows)
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     reduced, pivots = _rref_with_pivots(ctx, aug)
     if ncols in pivots:
@@ -855,6 +836,7 @@ def solve(ctx: FieldCtx, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> l
 
 def ext(ctx: FieldCtx, word: Sequence[int]) -> list[list[int]]:
     """m x n expansion of a word: column j holds the coordinates of word[j]."""
+    ctx.check_word(word)
     cols = [ctx.digits(x) for x in word]
     return [[col[r] for col in cols] for r in range(ctx.m)]
 
@@ -924,6 +906,7 @@ def subspace_elements(ctx: FieldCtx, space: Subspace) -> Iterator[tuple[int, ...
 
 def col_support(ctx: FieldCtx, word: Sequence[int]) -> Subspace:
     """F_q-span of the word entries, as a subspace of F_{q^m}."""
+    ctx.check_word(word)
     return subspace_from_vectors(ctx, ctx.m, (ctx.digits(x) for x in word))
 
 

@@ -35,13 +35,14 @@ from .errors import (
 )
 from .field import (
     FieldCtx,
+    _fast_evaluator,
     _gf2_kernel_packed,
     col_support,
     kernel_basis,
     rank_weight,
     stacked_rank,
 )
-from .qpoly import QPoly, _fast_evaluator, co_interpolator, interpolate
+from .qpoly import QPoly, co_interpolator, interpolate
 
 __all__ = [
     "GabidulinCode",

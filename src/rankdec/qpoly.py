@@ -239,28 +239,6 @@ class QPoly:
         return cls(ctx, [ctx.elem_from_coeffs(r) for r in rows])
 
 
-def _fast_evaluator(poly: QPoly):
-    """Callable equivalent to poly.eval, specialized for characteristic-two
-    contexts with multiplication tables (the decoder's inner loop)."""
-    ctx = poly.ctx
-    ext_ops = ctx._ext
-    if ctx.p == 2 and ctx.m > 1 and getattr(ext_ops, "exp", None) is not None:
-        exp, log, period = ext_ops.exp, ext_ops.log, ext_ops.period
-        terms = [(log[c], ctx._qexp[i]) for i, c in enumerate(poly.coeffs) if c]
-
-        def ev(x):
-            if x == 0:
-                return 0
-            lx = log[x]
-            acc = 0
-            for lc, qi in terms:
-                acc ^= exp[(lc + lx * qi) % period]
-            return acc
-
-        return ev
-    return poly.eval
-
-
 def interpolate(ctx: FieldCtx, points: Sequence[int], values: Sequence[int]) -> QPoly:
     """The unique q-polynomial of q-degree < n hitting the given values.
 
@@ -272,6 +250,8 @@ def interpolate(ctx: FieldCtx, points: Sequence[int], values: Sequence[int]) -> 
         raise ValueError("points and values must have the same length")
     if not points:
         raise ValueError("at least one interpolation point is required")
+    ctx.check_word(points)
+    ctx.check_word(values)
     result = QPoly.zero(ctx)
     vanisher = QPoly.x(ctx)
     for g, v in zip(points, values):

@@ -198,6 +198,18 @@ def test_rank_weight_examples():
     assert rank_weight(ctx4, (1, w, ctx4.add(w, 1))) == 2
 
 
+def test_words_outside_the_field_are_rejected():
+    ctx = field_create(2, 8)
+    with pytest.raises(ValueError):
+        rank_weight(ctx, [256])
+    with pytest.raises(ValueError):
+        ext(ctx, [1, -1])
+    with pytest.raises(ValueError):
+        col_support(ctx, [1 << 20])
+    with pytest.raises(ValueError):
+        row_support(ctx, [3, 1 << 8])
+
+
 def test_rank_weight_equals_support_dims():
     ctx = field_create(3, 4)
     rng = make_rng(99)
@@ -320,6 +332,23 @@ def test_solve_consistent_and_inconsistent():
                 acc = ctx.qadd(acc, ctx.qmul(a, b))
             assert acc == want
     assert solve(ctx, [[1, 0], [1, 0]], [1, 2]) is None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_ragged_rows_are_rejected(q):
+    ctx = field_create(q, 2)
+    with pytest.raises(ValueError):
+        kernel_basis(ctx, [[1, 0]], 3)
+    with pytest.raises(ValueError):
+        kernel_basis(ctx, [[1, 0, 1]], 2)
+    with pytest.raises(ValueError):
+        kernel_basis(ctx, [[1, 0], [1]])
+    with pytest.raises(ValueError):
+        rank(ctx, [[1, 0], [1]])
+    with pytest.raises(ValueError):
+        rref(ctx, [[1, 0], [1, 0, 1]])
+    with pytest.raises(ValueError):
+        solve(ctx, [[1, 0], [1]], [0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,14 @@ def test_interpolate_rejects_dependent_points():
         interpolate(ctx, tuple(range(1, 7)), (0,) * 6)  # more than m points
 
 
+def test_interpolate_rejects_ints_outside_the_field():
+    ctx = field_create(2, 8)
+    with pytest.raises(ValueError):
+        interpolate(ctx, [1 << 20], [1])
+    with pytest.raises(ValueError):
+        interpolate(ctx, [1], [1 << 20])
+
+
 def test_subspace_poly_trivial_and_fq_line():
     ctx = field_create(2, 5)
     assert subspace_poly(ctx, subspace_from_vectors(ctx, 5, [])) == QPoly.x(ctx)
