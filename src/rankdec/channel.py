@@ -16,7 +16,7 @@ construction instead of sampling and filtering.
 from __future__ import annotations
 
 from .errors import RankInfeasible
-from .field import FieldCtx, fqm_rank, rank, rank_weight
+from .field import FieldCtx, fqm_rank, rank, rank_weight, stacked_rank
 from .gabidulin import GabidulinCode, code_new
 from .qpoly import QPoly
 
@@ -142,13 +142,7 @@ def random_burst_error(
             ]
             for i in range(u)
         ]
-        if fqm_rank(ctx, amat) != zeta:
-            continue
-        stacked_cols = []
-        for i in range(u):
-            for d in range(ctx.m):
-                stacked_cols.append([ctx.digit(amat[i][s], d) for s in range(t)])
-        if rank(ctx, stacked_cols) != t:
+        if fqm_rank(ctx, amat) != zeta or stacked_rank(ctx, amat) != t:
             continue
         rows = []
         for i in range(u):

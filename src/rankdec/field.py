@@ -8,8 +8,9 @@ modulo ``ext_modulus``.  The two packings agree (both are base-p digit
 strings), so addition of packed values is digit-wise mod p at every level,
 plain XOR in characteristic two.
 
-Each level is a context: FieldCtx(q, m) is F_{q^m} over its F_q, and that
-F_q is FieldCtx(p, s) over F_p (plain mod-p arithmetic when s = 1).  Each
+Each level is a context: FieldCtx(q, m) is F_{q^m}, and its attribute
+``base`` is F_q, itself FieldCtx(p, s) over F_p (plain mod-p arithmetic
+when s = 1).  Code that works in F_q calls ``ctx.base`` directly.  Each
 context owns its multiplication: log/antilog tables when it has at most
 2**18 elements, and polynomial arithmetic modulo its defining polynomial
 otherwise.
@@ -19,8 +20,8 @@ polynomial whose non-leading coefficients, read high to low as a base-q
 (resp. base-p) integer, are smallest.  Two contexts built from the same
 (q, m) therefore carry identical arithmetic.
 
-A matrix over F_q is a list of equal-length rows, each a list of packed ints.
-``rref``/``rank``/``kernel_basis``/``solve`` use deterministic
+A matrix over F_q is a list of equal-length rows, each a list of packed ints
+in [0, q).  ``rref``/``rank``/``kernel_basis``/``solve`` use deterministic
 first-nonzero pivoting so every downstream computation, decoders included,
 is reproducible bit for bit.
 
@@ -138,7 +139,8 @@ def _digitwise_neg(x: int, p: int) -> int:
 #
 # Coefficient lists are little-endian with no trailing zeros; the ops
 # object supplies scalar arithmetic (duck type: order, p, add, sub, neg,
-# mul, inv), so a _PrimeOps or a FieldCtx serves.
+# mul, inv), so a _PrimeOps or a FieldCtx serves.  The same duck type
+# feeds the row reduction _generic_rref at either level of the tower.
 
 
 def _ptrim(c: list[int]) -> list[int]:
@@ -317,7 +319,8 @@ class FieldCtx:
 
     Exposes arithmetic on packed ints: ``add``/``sub``/``neg``/``mul``/
     ``inv``/``div``/``pow``/``frob``/``trace``/``smul`` act on F_{q^m};
-    the q-prefixed variants act on F_q.  Since F_q sits inside F_{q^m} as
+    ``base`` is the F_q level, with the same ``order``/``p``/``add``/
+    ``sub``/``neg``/``mul``/``inv``.  Since F_q sits inside F_{q^m} as
     the constant-coefficient elements, a base-field int is also a valid
     extension-field int and the additive ops agree on it.
 
@@ -334,7 +337,7 @@ class FieldCtx:
         "base_modulus",
         "ext_modulus",
         "basis",
-        "_base",
+        "base",
         "_exp",
         "_log",
         "_period",
@@ -358,8 +361,8 @@ class FieldCtx:
 
         prime = _PrimeOps(p)
         self.base_modulus = _modulus(prime, base_modulus, s, "base", "the prime field")
-        self._base = prime if s == 1 else field_create(p, s, None, self.base_modulus)
-        self.ext_modulus = _modulus(self._base, ext_modulus, m, "extension", "F_q")
+        self.base = prime if s == 1 else field_create(p, s, None, self.base_modulus)
+        self.ext_modulus = _modulus(self.base, ext_modulus, m, "extension", "F_q")
 
         self.basis = tuple(q**a for a in range(m))
         self._qpows = tuple(q**a for a in range(m + 1))
@@ -374,7 +377,7 @@ class FieldCtx:
     def _mul_slow(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        g = self._base
+        g = self.base
         q = self.q
         d = self.m
         a = _unpack_base(x, q, d)
@@ -417,6 +420,7 @@ class FieldCtx:
 
     def _build_frob_columns(self):
         # columns of x -> x^(q^i) in basis B, for table-less contexts only
+        F = self.base
         m = self.m
         cols1 = tuple(tuple(self.digits(self.pow(b, self.q))) for b in self.basis)
         mats = [tuple(tuple(1 if r == a else 0 for r in range(m)) for a in range(m)), cols1]
@@ -430,7 +434,7 @@ class FieldCtx:
                         col = cols1[b]
                         for r in range(m):
                             if col[r]:
-                                acc[r] = self.qadd(acc[r], self.qmul(coeff, col[r]))
+                                acc[r] = F.add(acc[r], F.mul(coeff, col[r]))
                 nxt.append(tuple(acc))
             mats.append(tuple(nxt))
         return tuple(mats)
@@ -458,7 +462,7 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[(-self._log[x]) % self._period]
-        digits = _pinvmod(self._base, _ptrim(_unpack_base(x, self.q, self.m)), self.ext_modulus)
+        digits = _pinvmod(self.base, _ptrim(_unpack_base(x, self.q, self.m)), self.ext_modulus)
         return self.pack(digits)
 
     def div(self, x: int, y: int) -> int:
@@ -489,6 +493,7 @@ class FieldCtx:
             return x
         if self._exp is not None:
             return self._exp[(self._log[x] * self._qexp[i]) % self._period]
+        F = self.base
         cols = self._frob_cols[i]
         acc = [0] * self.m
         for a, d in enumerate(self.digits(x)):
@@ -496,7 +501,7 @@ class FieldCtx:
                 col = cols[a]
                 for r in range(self.m):
                     if col[r]:
-                        acc[r] = self.qadd(acc[r], self.qmul(d, col[r]))
+                        acc[r] = F.add(acc[r], F.mul(d, col[r]))
         return self.pack(acc)
 
     def trace(self, x: int) -> int:
@@ -516,15 +521,13 @@ class FieldCtx:
             return 0
         if c == 1:
             return x
-        return self.pack(self.qmul(c, d) for d in self.digits(x))
+        F = self.base
+        return self.pack(F.mul(c, d) for d in self.digits(x))
 
     def digits(self, x: int) -> tuple[int, ...]:
         """Coordinates of x in the polynomial basis B (little-endian)."""
         q = self.q
         return tuple((x // self._qpows[a]) % q for a in range(self.m))
-
-    def digit(self, x: int, a: int) -> int:
-        return (x // self._qpows[a]) % self.q
 
     def pack(self, digits: Iterable[int]) -> int:
         out = 0
@@ -532,26 +535,6 @@ class FieldCtx:
             if d:
                 out += d * self._qpows[a]
         return out
-
-    # -- base field ops -----------------------------------------------------
-
-    def qadd(self, a: int, b: int) -> int:
-        return self._base.add(a, b)
-
-    def qsub(self, a: int, b: int) -> int:
-        return self._base.sub(a, b)
-
-    def qneg(self, a: int) -> int:
-        return self._base.neg(a)
-
-    def qmul(self, a: int, b: int) -> int:
-        return self._base.mul(a, b)
-
-    def qinv(self, a: int) -> int:
-        return self._base.inv(a)
-
-    def qdiv(self, a: int, b: int) -> int:
-        return self._base.mul(a, self._base.inv(b))
 
     # -- plumbing -----------------------------------------------------------
 
@@ -687,9 +670,10 @@ def _gf2_rref(packed: list[int], ncols: int) -> list[int]:
     return pivots
 
 
-def _generic_rref(rows: list[list[int]], sub, mul, inv) -> list[int]:
-    """In-place RREF with first-nonzero pivoting over the field whose
-    arithmetic ``sub``/``mul``/``inv`` supply; returns the pivot columns."""
+def _generic_rref(rows: list[list[int]], F) -> list[int]:
+    """In-place RREF with first-nonzero pivoting over the level F (ctx.base
+    for F_q, the context itself for F_{q^m}); returns the pivot columns."""
+    sub, mul, inv = F.sub, F.mul, F.inv
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -719,26 +703,30 @@ def _generic_rref(rows: list[list[int]], sub, mul, inv) -> list[int]:
     return pivots
 
 
-def _width(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
-    """Column count of a nonempty matrix, checked against every row."""
+def _width(F, rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
+    """Column count of a nonempty matrix over the level F, checked against
+    every row; every entry must be an element of F."""
     if ncols is None:
         ncols = len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise ValueError(f"every row of the matrix must have {ncols} entries")
+    order = F.order
+    if any(not 0 <= x < order for row in rows for x in row):
+        raise ValueError(f"matrix entries must lie in [0, {order})")
     return ncols
 
 
 def _rref_with_pivots(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     if not rows:
         return [], []
-    ncols = _width(rows)
+    ncols = _width(ctx.base, rows)
     if ctx.q == 2:
         packed = _gf2_pack_rows(rows)
         pivots = _gf2_rref(packed, ncols)
         out = [[(v >> j) & 1 for j in range(ncols)] for v in packed]
         return out, pivots
     work = [list(r) for r in rows]
-    pivots = _generic_rref(work, ctx.qsub, ctx.qmul, ctx.qinv)
+    pivots = _generic_rref(work, ctx.base)
     return work, pivots
 
 
@@ -769,17 +757,20 @@ def rref(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def rank(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
-    ncols = _width(rows)
+    ncols = _width(ctx.base, rows)
     if ctx.q == 2:
         packed = _gf2_pack_rows(rows)
         return len(_gf2_rref(packed, ncols))
     work = [list(r) for r in rows]
-    return len(_generic_rref(work, ctx.qsub, ctx.qmul, ctx.qinv))
+    return len(_generic_rref(work, ctx.base))
 
 
 def fqm_rank(ctx: FieldCtx, mat: Sequence[Sequence[int]]) -> int:
     """Rank of a matrix with entries in F_{q^m}, over F_{q^m}."""
-    return len(_generic_rref([list(r) for r in mat], ctx.sub, ctx.mul, ctx.inv))
+    if not mat:
+        return 0
+    _width(ctx, mat)
+    return len(_generic_rref([list(r) for r in mat], ctx))
 
 
 def kernel_basis(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[list[int]]:
@@ -792,11 +783,13 @@ def kernel_basis(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int | None
         if ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
         return [[1 if j == f else 0 for j in range(ncols)] for f in range(ncols)]
-    ncols = _width(rows, ncols)
+    F = ctx.base
+    ncols = _width(F, rows, ncols)
     if ctx.q == 2:
         packed = _gf2_kernel_packed(_gf2_pack_rows(rows), ncols)
         return [[(v >> j) & 1 for j in range(ncols)] for v in packed]
-    reduced, pivots = _rref_with_pivots(ctx, rows)
+    reduced = [list(r) for r in rows]
+    pivots = _generic_rref(reduced, F)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     vecs = []
@@ -806,7 +799,7 @@ def kernel_basis(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int | None
         for idx, c in enumerate(pivots):
             coeff = reduced[idx][f]
             if coeff:
-                v[c] = ctx.qneg(coeff)
+                v[c] = F.neg(coeff)
         vecs.append(v)
     if not vecs:
         return []
@@ -819,7 +812,7 @@ def solve(ctx: FieldCtx, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> l
         raise ValueError("rhs length must match the number of rows")
     if not rows:
         return None
-    ncols = _width(rows)
+    ncols = _width(ctx.base, rows)
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     reduced, pivots = _rref_with_pivots(ctx, aug)
     if ncols in pivots:
@@ -853,8 +846,6 @@ def stacked_rank(ctx: FieldCtx, mat: Sequence[Sequence[int]]) -> int:
     stacked: list[list[int]] = []
     for row in mat:
         stacked.extend(ext(ctx, row))
-    if not stacked:
-        return 0
     return rank(ctx, stacked)
 
 
@@ -876,12 +867,15 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, ctx: FieldCtx, vec: Sequence[int]) -> bool:
+        if len(vec) != self.ambient:
+            raise ValueError(f"vector must have {self.ambient} entries")
+        F = ctx.base
         v = list(vec)
         for row in self.basis:
             lead = next(i for i, x in enumerate(row) if x)
             c = v[lead]
             if c:
-                v = [ctx.qsub(a, ctx.qmul(c, b)) for a, b in zip(v, row)]
+                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
         return not any(v)
 
 
@@ -889,18 +883,20 @@ def subspace_from_vectors(ctx: FieldCtx, ambient: int, vectors: Iterable[Sequenc
     rows = [list(v) for v in vectors]
     if not rows:
         return Subspace(ambient, ())
+    _width(ctx.base, rows, ambient)
     reduced, pivots = _rref_with_pivots(ctx, rows)
     return Subspace(ambient, tuple(tuple(reduced[i]) for i in range(len(pivots))))
 
 
 def subspace_elements(ctx: FieldCtx, space: Subspace) -> Iterator[tuple[int, ...]]:
     """All coordinate vectors of the subspace (q**dim of them)."""
+    F = ctx.base
     basis = space.basis
     for coeffs in itertools.product(range(ctx.q), repeat=space.dim):
         v = [0] * space.ambient
         for c, row in zip(coeffs, basis):
             if c:
-                v = [ctx.qadd(a, ctx.qmul(c, b)) for a, b in zip(v, row)]
+                v = [F.add(a, F.mul(c, b)) for a, b in zip(v, row)]
         yield tuple(v)
 
 

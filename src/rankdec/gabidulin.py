@@ -38,6 +38,7 @@ from .field import (
     _fast_evaluator,
     _gf2_kernel_packed,
     col_support,
+    ext,
     kernel_basis,
     rank_weight,
     stacked_rank,
@@ -197,13 +198,10 @@ def _locator_candidates(
             return (vec >> off) & mask
 
     else:
-        digit = ctx.digit
         rows: list[list[int]] = []
         for i in range(u):
             for j in range(n):
-                kvals = equation_coeffs(i, j)
-                for d in range(m):
-                    rows.append([digit(v, d) for v in kvals])
+                rows.extend(ext(ctx, equation_coeffs(i, j)))
         n_rows = len(rows)
         kern = kernel_basis(ctx, rows, ncols)
 

@@ -26,6 +26,7 @@ from .errors import (
 from .field import (
     FieldCtx,
     Subspace,
+    ext,
     kernel_basis,
     rank as matrix_rank,
     subspace_perp,
@@ -216,9 +217,7 @@ class QPoly:
     def matrix(self) -> list[list[int]]:
         """m x m matrix of the induced map in the polynomial basis."""
         ctx = self.ctx
-        m = ctx.m
-        cols = [ctx.digits(self.eval(b)) for b in ctx.basis]
-        return [[cols[a][r] for a in range(m)] for r in range(m)]
+        return ext(ctx, [self.eval(b) for b in ctx.basis])
 
     def rank(self) -> int:
         return matrix_rank(self.ctx, self.matrix())

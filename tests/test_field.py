@@ -11,6 +11,7 @@ from rankdec import (
     col_support,
     ext,
     field_create,
+    fqm_rank,
     kernel_basis,
     rank,
     rank_weight,
@@ -21,6 +22,7 @@ from rankdec import (
     subspace_from_vectors,
     subspace_perp,
 )
+from rankdec.channel import _random_full_rank_fq
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,7 @@ def _poly_mod(a, b, q, mulmod):
 def test_default_moduli_are_smallest_irreducible():
     for q, m in ((2, 8), (3, 3), (4, 2)):
         ctx = field_create(q, m)
-        ops = (ctx.qadd, ctx.qneg, ctx.qmul)
+        ops = (ctx.base.add, ctx.base.neg, ctx.base.mul)
         f = list(ctx.ext_modulus)
         assert f[-1] == 1 and len(f) == m + 1
         assert not _brute_reducible(f, q, ops)
@@ -113,6 +115,27 @@ def test_default_moduli_are_smallest_irreducible():
         for smaller in range(packed):
             cand = [(smaller // q**i) % q for i in range(m)] + [1]
             assert _brute_reducible(cand, q, ops), (q, m, smaller)
+
+
+@pytest.mark.parametrize("q,p,s", [(4, 2, 2), (9, 3, 2)])
+def test_base_of_a_prime_power_is_the_cached_context(q, p, s):
+    ctx = field_create(q, 2)
+    assert ctx.base is field_create(p, s, None, ctx.base_modulus)
+    assert ctx.base.order == q
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_base_of_a_prime_is_mod_p_arithmetic(p):
+    base = field_create(p, 3).base
+    assert (base.order, base.p) == (p, p)
+    for a in range(p):
+        assert base.neg(a) == (-a) % p
+        if a:
+            assert base.mul(a, base.inv(a)) == 1
+        for b in range(p):
+            assert base.add(a, b) == (a + b) % p
+            assert base.sub(a, b) == (a - b) % p
+            assert base.mul(a, b) == (a * b) % p
 
 
 def test_field_create_is_cached_and_deterministic():
@@ -163,7 +186,7 @@ def test_trace_lands_in_base_field_and_is_linear():
         tr = ctx.trace(x)
         assert 0 <= tr < ctx.q
         assert ctx.frob(tr, 1) == tr  # fixed by Frobenius, so in F_q
-        assert ctx.trace(ctx.add(x, y)) == ctx.qadd(ctx.trace(x), ctx.trace(y))
+        assert ctx.trace(ctx.add(x, y)) == ctx.base.add(ctx.trace(x), ctx.trace(y))
     assert any(ctx.trace(rand_elem(ctx, rng)) != 0 for _ in range(50))
 
 
@@ -226,7 +249,7 @@ def test_ext_rank_does_not_depend_on_basis():
     other = rand_independent(ctx, rng, 5)
     # coordinates in the basis `other` solve T c = digits(x), T's columns
     # being the digits of the basis elements
-    t_rows = [[ctx.digit(b, r) for b in other] for r in range(5)]
+    t_rows = [[ctx.digits(b)[r] for b in other] for r in range(5)]
     for _ in range(50):
         word = tuple(rand_elem(ctx, rng) for _ in range(4))
         cols = [solve(ctx, t_rows, ctx.digits(x)) for x in word]
@@ -240,11 +263,22 @@ def test_subspace_canonical_equality():
     vecs = [ctx.digits(rand_elem(ctx, rng)) for _ in range(3)]
     s1 = subspace_from_vectors(ctx, 5, vecs)
     # same space from scrambled generating set
-    mixed = [vecs[2], tuple(ctx.qadd(a, b) for a, b in zip(vecs[0], vecs[1])), vecs[0], vecs[1]]
+    mixed = [vecs[2], tuple(ctx.base.add(a, b) for a, b in zip(vecs[0], vecs[1])), vecs[0], vecs[1]]
     s2 = subspace_from_vectors(ctx, 5, mixed)
     assert s1 == s2
     for v in vecs:
         assert s1.contains(ctx, v)
+
+
+def test_subspace_vector_lengths_are_checked():
+    ctx = field_create(2, 4)
+    space = subspace_from_vectors(ctx, 4, [[1, 0, 1, 1]])
+    with pytest.raises(ValueError):
+        space.contains(ctx, [1, 0])
+    with pytest.raises(ValueError):
+        subspace_from_vectors(ctx, 4, [[1, 0]])
+    with pytest.raises(ValueError):
+        subspace_from_vectors(ctx, 4, [[1, 0, 1, 1, 0]])
 
 
 def test_subspace_perp_cases_and_involution():
@@ -298,7 +332,7 @@ def test_rank_plus_nullity_random():
                 for row in rows:
                     acc = 0
                     for a, b in zip(row, vec):
-                        acc = ctx.qadd(acc, ctx.qmul(a, b))
+                        acc = ctx.base.add(acc, ctx.base.mul(a, b))
                     assert acc == 0
 
 
@@ -322,14 +356,14 @@ def test_solve_consistent_and_inconsistent():
         for row in rows:
             acc = 0
             for a, b in zip(row, x):
-                acc = ctx.qadd(acc, ctx.qmul(a, b))
+                acc = ctx.base.add(acc, ctx.base.mul(a, b))
             rhs.append(acc)
         got = solve(ctx, rows, rhs)
         assert got is not None
         for row, want in zip(rows, rhs):
             acc = 0
             for a, b in zip(row, got):
-                acc = ctx.qadd(acc, ctx.qmul(a, b))
+                acc = ctx.base.add(acc, ctx.base.mul(a, b))
             assert acc == want
     assert solve(ctx, [[1, 0], [1, 0]], [1, 2]) is None
 
@@ -349,6 +383,60 @@ def test_ragged_rows_are_rejected(q):
         rref(ctx, [[1, 0], [1, 0, 1]])
     with pytest.raises(ValueError):
         solve(ctx, [[1, 0], [1]], [0, 1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_entries_outside_the_base_field_are_rejected(q):
+    ctx = field_create(q, 2)
+    for bad in (q, -1):
+        with pytest.raises(ValueError):
+            rank(ctx, [[bad, 0]])
+        with pytest.raises(ValueError):
+            rref(ctx, [[bad, 1]])
+        with pytest.raises(ValueError):
+            kernel_basis(ctx, [[1, 0], [0, bad]])
+        with pytest.raises(ValueError):
+            solve(ctx, [[1, bad]], [0])
+        with pytest.raises(ValueError):
+            solve(ctx, [[1, 0]], [bad])
+
+
+def test_fqm_rank_validates_its_rows():
+    ctx = field_create(2, 4)
+    assert fqm_rank(ctx, []) == 0
+    with pytest.raises(ValueError):
+        fqm_rank(ctx, [[1, 0], [1]])
+    with pytest.raises(ValueError):
+        fqm_rank(ctx, [[1 << 9]])
+
+
+def _fq_product(ctx, a, b):
+    F = ctx.base
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            acc = [F.add(v, F.mul(x, y)) for v, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rank_does_not_grow_under_field_extension(q):
+    # fqm_rank eliminates over F_{q^m} and rank over F_q; a matrix over F_q
+    # has the same rank over both
+    ctx = field_create(q, 3)
+    rng = make_rng(90 + q)
+    for _ in range(40):
+        nrows, ncols = 1 + rng.below(6), 1 + rng.below(6)
+        inner = rng.below(min(nrows, ncols))
+        full = _random_full_rank_fq(ctx, rng, nrows, ncols)
+        left = [[rng.base_elem(ctx) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.base_elem(ctx) for _ in range(ncols)] for _ in range(inner)]
+        thin = _fq_product(ctx, left, right) if inner else [[0] * ncols for _ in range(nrows)]
+        assert rank(ctx, thin) <= inner
+        for mat in (full, thin):
+            assert fqm_rank(ctx, mat) == rank(ctx, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +469,7 @@ def test_base_field_embedding_consistency():
     rng = make_rng(80)
     for _ in range(100):
         a, b = rng.base_elem(ctx), rng.base_elem(ctx)
-        assert ctx.mul(a, b) == ctx.qmul(a, b)
-        assert ctx.add(a, b) == ctx.qadd(a, b)
+        assert ctx.mul(a, b) == ctx.base.mul(a, b)
+        assert ctx.add(a, b) == ctx.base.add(a, b)
         x = rand_elem(ctx, rng)
         assert ctx.smul(a, x) == ctx.mul(a, x)
