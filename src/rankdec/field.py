@@ -26,13 +26,16 @@ first-nonzero pivoting so every downstream computation, decoders included,
 is reproducible bit for bit.
 
 FieldCtx is immutable after construction and safe to share between
-threads; every function in this module is pure.
+threads (its one cache, ``trace_dual``, is filled on first use with a
+value that depends on the context only); every function in this module
+is pure.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -132,6 +135,15 @@ def _digitwise_neg(x: int, p: int) -> int:
         x //= p
         shift *= p
     return out
+
+
+def _read_tables(tables, radix: int, add, x: int) -> int:
+    """Value at x of a linear map stored as one table per few digits of x."""
+    acc = 0
+    for tab in tables:
+        acc = add(acc, tab[x % radix])
+        x //= radix
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +356,7 @@ class FieldCtx:
         "_qexp",
         "_qpows",
         "_frob_cols",
+        "_dual",
     )
 
     def __init__(self, q, m, base_modulus=None, ext_modulus=None):
@@ -366,7 +379,7 @@ class FieldCtx:
 
         self.basis = tuple(q**a for a in range(m))
         self._qpows = tuple(q**a for a in range(m + 1))
-        self._exp = self._log = self._qexp = self._frob_cols = None
+        self._exp = self._log = self._qexp = self._frob_cols = self._dual = None
         self._period = self.order - 1
         if self.order <= _TABLE_CAP:
             self._build_tables()
@@ -515,6 +528,47 @@ class FieldCtx:
             raise InternalInconsistency("trace landed outside the base field")
         return acc
 
+    def trace_dual(self):
+        """(beta, D) for the polynomial basis B, built on first use.
+
+        beta is the trace-dual basis, Tr(beta_r * b_a) = [r == a], so digit
+        r of x is Tr(beta_r * x).  D(x) is the packed element whose digit a
+        is Tr(x * b_a), that is, x's coordinates in beta.
+        """
+        if self._dual is None:
+            m, basis = self.m, self.basis
+            # Tr(b_s * b_a) = Tr(a^(s+a)): a Hankel matrix from 2m - 1 traces,
+            # invertible because the trace form is nondegenerate
+            powers = basis + tuple(self.mul(b, basis[-1]) for b in basis[1:])
+            tr = [self.trace(x) for x in powers]
+            hankel = [tr[s : s + m] for s in range(m)]
+            aug = [row + [int(r == s) for r in range(m)] for s, row in enumerate(hankel)]
+            beta = tuple(self.pack(row[m:]) for row in rref(self, aug))
+            self._dual = (beta, self.linear_map([self.pack(row) for row in hankel]))
+        return self._dual
+
+    def linear_map(self, images: Sequence[int]):
+        """The F_q-linear map x -> sum_s digit_s(x) * images[s] on F_{q^m}.
+
+        It is read off one table per few digits of x, each of at most
+        max(q, 256) entries (max(q, 16) at p = 2), whatever q^m is.  The
+        images are packed like field elements; at q = 2 they may be bit
+        strings of any length.
+        """
+        q = self.q
+        # one more table costs an XOR at p = 2, a digit-wise addition otherwise
+        width = max(1, (4 if self.p == 2 else 8) // (q - 1).bit_length())
+        radix = q**width
+        add = operator.xor if self.p == 2 else functools.partial(_digitwise_add, p=self.p)
+        tables = []  # tables[c][v] is the image of v * q^(c * width), v < radix
+        for c in range(0, self.m, width):
+            tab = [0]
+            for img in images[c : c + width]:
+                scaled = [self.smul(d, img) for d in range(q)]
+                tab = [add(x, y) for y in scaled for x in tab]
+            tables.append(tab)
+        return functools.partial(_read_tables, tables, radix, add)  # picklable, like the context
+
     def smul(self, c: int, x: int) -> int:
         """Scalar action of c in F_q on x in F_{q^m} (coefficient-wise)."""
         if c == 0 or x == 0:
@@ -607,28 +661,6 @@ def field_create(q: int, m: int, base_modulus=None, ext_modulus=None) -> FieldCt
     return _field_cached(q, m, bm, em)
 
 
-def _fast_evaluator(poly):
-    """Callable equivalent to ``poly.eval`` for a QPoly, specialized for
-    characteristic-two contexts with multiplication tables (the decoder's
-    inner loop)."""
-    ctx = poly.ctx
-    if ctx.p != 2 or ctx._exp is None:
-        return poly.eval
-    exp, log, period = ctx._exp, ctx._log, ctx._period
-    terms = [(log[c], ctx._qexp[i]) for i, c in enumerate(poly.coeffs) if c]
-
-    def ev(x):
-        if x == 0:
-            return 0
-        lx = log[x]
-        acc = 0
-        for lc, qi in terms:
-            acc ^= exp[(lc + lx * qi) % period]
-        return acc
-
-    return ev
-
-
 # ---------------------------------------------------------------------------
 # linear algebra over F_q
 
@@ -711,8 +743,8 @@ def _width(F, rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
     if any(len(row) != ncols for row in rows):
         raise ValueError(f"every row of the matrix must have {ncols} entries")
     order = F.order
-    if any(not 0 <= x < order for row in rows for x in row):
-        raise ValueError(f"matrix entries must lie in [0, {order})")
+    if any(not (issubclass(type(x), int) and 0 <= x < order) for row in rows for x in row):
+        raise ValueError(f"matrix entries must be ints in [0, {order})")
     return ncols
 
 
@@ -812,9 +844,9 @@ def solve(ctx: FieldCtx, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> l
         raise ValueError("rhs length must match the number of rows")
     if not rows:
         return None
-    ncols = _width(ctx.base, rows)
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = _rref_with_pivots(ctx, aug)
+    reduced, pivots = _rref_with_pivots(ctx, aug)  # checks rows and rhs in one pass
+    ncols = len(aug[0]) - 1
     if ncols in pivots:
         return None  # inconsistent: pivot in the rhs column
     v = [0] * ncols

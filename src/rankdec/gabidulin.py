@@ -4,13 +4,16 @@ The decoder localizes errors from the right: interpolate the received
 word into a q-polynomial Y, then look for a locator L (q-degree <= t) and
 a numerator N (q-degree <= k+t-1) with (Y o L)(g_i) = N(g_i) at every
 evaluation point.  Composition with the unknown L is only F_q-linear, so
-the system is expanded over an F_q basis of F_{q^m}: m scalar equations
-per point, m scalar unknowns per polynomial coefficient.  Any kernel
-vector with nonzero locator is a candidate; the message is the exact
-right quotient N / L and every candidate is validated (zero remainder,
-degree below k, rank of the residual error at most t) before being
-accepted, so out-of-model inputs surface as diagnosed failures instead of
-silent miscorrections.
+the system is expanded over the polynomial basis B of F_{q^m}: m scalar
+equations per point, m scalar unknowns per polynomial coefficient.  Each
+scalar equation is built directly as one row through the trace-dual
+basis beta of B: digit r of Y(b_a * h) is Tr(Y*(beta_r) * h * b_a), Y*
+being the adjoint of Y, so the row's entries are the dual coordinates of
+products with Y*(beta_r).  Any kernel vector with nonzero locator is a
+candidate; the message is the exact right quotient N / L and every
+candidate is validated (zero remainder, degree below k, rank of the
+residual error at most t) before being accepted, so out-of-model inputs
+surface as diagnosed failures instead of silent miscorrections.
 
 One core, _decode_rows, serves plain and interleaved codes alike: a plain
 word is the one-row case of u rows Y_1..Y_u sharing the locator L, with
@@ -35,10 +38,9 @@ from .errors import (
 )
 from .field import (
     FieldCtx,
-    _fast_evaluator,
     _gf2_kernel_packed,
+    _unpack_base,
     col_support,
-    ext,
     kernel_basis,
     rank_weight,
     stacked_rank,
@@ -131,6 +133,48 @@ class DecodeOutcome:
         return self.errors[0]
 
 
+def _locator_rows(
+    ctx: FieldCtx, points: Sequence[int], interps: Sequence[QPoly], k: int, t: int
+) -> list[int]:
+    """The u*n*m rows of the F_q linearization of (Y_i o L)(g_j) = N_i(g_j),
+    each packed as an int whose base-q digits are the row's entries.
+
+    Row (i, j, r) is digit r of the equation for row i at point g_j.  Its
+    locator block e is D(Y_i*(beta_r) * g_j^(q^e)), with D(z) = (Tr(z * b_a))_a,
+    and its numerator block l is D(-beta_r * g_j^(q^l)).
+    """
+    m, q = ctx.m, ctx.q
+    beta, dual = ctx.trace_dual()
+    blk = k + t  # at least t + 1, so the point maps cover the locator blocks too
+    place = [q ** (m * c) for c in range(t + 1 + len(interps) * blk)]
+
+    def point_map(gj):
+        """y -> D(y * g_j^(q^l)) for l < k + t, side by side."""
+        hs = [ctx.frob(gj, l) for l in range(blk)]
+        if q != 2:
+            return lambda y: sum(dual(ctx.mul(y, h)) * place[l] for l, h in enumerate(hs))
+        # No multiply per block: D(y * h) is the XOR of D(b_s * h) over the
+        # set bits s of y, and D(b_s * h) is bits s..s+m-1 of the sequence
+        # Tr(h * a^k), k < 2m - 1, which starts with D(h) and goes on by the
+        # recurrence a^m = sum_c f_c a^c of the modulus f.
+        taps, seqs = ctx.pack(ctx.ext_modulus[:m]), [dual(h) for h in hs]
+        for c in range(m - 1):
+            seqs = [sq | ((sq >> c) & taps).bit_count() % 2 << (m + c) for sq in seqs]
+        windows = [[(sq >> s) & (ctx.order - 1) for sq in seqs] for s in range(m)]
+        return ctx.linear_map([sum(w * place[l] for l, w in enumerate(ws)) for ws in windows])
+
+    ys = [[adj.eval(b) for b in beta] for adj in (y_poly.adjoint() for y_poly in interps)]
+    rows = [0] * (len(interps) * len(points) * m)
+    for j, gj in enumerate(points):  # one point's map at a time
+        f = point_map(gj)
+        nums = [f(ctx.neg(b)) for b in beta]
+        for i, yi in enumerate(ys):
+            row = (i * len(points) + j) * m
+            num_place = place[t + 1 + i * blk]
+            rows[row : row + m] = [f(y) % place[t + 1] + nr * num_place for y, nr in zip(yi, nums)]
+    return rows
+
+
 def _locator_candidates(
     ctx: FieldCtx,
     points: Sequence[int],
@@ -142,68 +186,26 @@ def _locator_candidates(
 
     Unknowns: the t+1 coefficients of the shared locator L and the k+t
     coefficients of each numerator N_i, all expanded into m base-field
-    coordinates.  Returns the decoded (locator, numerators) candidates in
+    coordinates.  _locator_rows builds each scalar row directly from the
+    trace-dual basis; at q = 2 the rows stay bit-packed for the GF(2)
+    kernel, at other q they are split into digit lists for kernel_basis.
+    Returns the decoded (locator, numerators) candidates in
     deterministic echelon order, plus system diagnostics.
     """
-    m = ctx.m
-    n = len(points)
-    u = len(interps)
+    m, n, u = ctx.m, len(points), len(interps)
     blk = k + t
     ncols = m * (t + 1 + u * blk)
-    max_e = max(t, blk - 1)
-    frob_pts = [[ctx.frob(gj, e) for e in range(max_e + 1)] for gj in points]
-    basis = ctx.basis
-    lam_args = [
-        [[ctx.mul(basis[a], frob_pts[j][e]) for a in range(m)] for e in range(t + 1)]
-        for j in range(n)
-    ]
-    num_vals = [
-        [[ctx.neg(ctx.mul(basis[c], frob_pts[j][l])) for c in range(m)] for l in range(blk)]
-        for j in range(n)
-    ]
-    evaluators = [_fast_evaluator(y_poly) for y_poly in interps]
-
-    def equation_coeffs(i, j):
-        # F_{q^m} coefficient per scalar unknown, for the (row i, point j) equation
-        kvals = [0] * ncols
-        pos = 0
-        ev = evaluators[i]
-        for e in range(t + 1):
-            for arg in lam_args[j][e]:
-                kvals[pos] = ev(arg)
-                pos += 1
-        base = m * (t + 1) + i * m * blk
-        for l in range(blk):
-            vals = num_vals[j][l]
-            kvals[base + l * m : base + (l + 1) * m] = vals
-        return kvals
-
+    rows = _locator_rows(ctx, points, interps, k, t)
+    n_rows = len(rows)
     if ctx.q == 2:
-        # emit the m scalar rows of each equation directly in bit-packed form
-        packed_rows: list[int] = []
-        for i in range(u):
-            for j in range(n):
-                rowbuf = [0] * m
-                for col, v in enumerate(equation_coeffs(i, j)):
-                    while v:
-                        low = v & -v
-                        rowbuf[low.bit_length() - 1] |= 1 << col
-                        v ^= low
-                packed_rows.extend(rowbuf)
-        n_rows = len(packed_rows)
-        kern = _gf2_kernel_packed(packed_rows, ncols)
+        kern = _gf2_kernel_packed(rows, ncols)
         mask = (1 << m) - 1
 
         def coeff(vec, off):
             return (vec >> off) & mask
 
     else:
-        rows: list[list[int]] = []
-        for i in range(u):
-            for j in range(n):
-                rows.extend(ext(ctx, equation_coeffs(i, j)))
-        n_rows = len(rows)
-        kern = kernel_basis(ctx, rows, ncols)
+        kern = kernel_basis(ctx, [_unpack_base(v, ctx.q, ncols) for v in rows], ncols)
 
         def coeff(vec, off):
             return ctx.pack(vec[off : off + m])

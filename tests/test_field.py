@@ -401,6 +401,27 @@ def test_entries_outside_the_base_field_are_rejected(q):
             solve(ctx, [[1, 0]], [bad])
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_non_int_entries_are_rejected(q):
+    # a float used to count as a nonzero bit at q = 2 and to raise
+    # TypeError at odd q; entries are checked like FieldCtx.is_elem
+    ctx = field_create(q, 4)
+    for bad in (0.5, 1.5, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            rank(ctx, [[bad, 1]])
+        with pytest.raises(ValueError):
+            rref(ctx, [[1, bad]])
+        with pytest.raises(ValueError):
+            kernel_basis(ctx, [[1, 0], [0, bad]])
+        with pytest.raises(ValueError):
+            solve(ctx, [[1, bad]], [0])
+        with pytest.raises(ValueError):
+            solve(ctx, [[1, 0]], [bad])
+        with pytest.raises(ValueError):
+            fqm_rank(ctx, [[1, bad]])
+    assert rank(ctx, [[True, 1]]) == 1  # bool is an int, as in FieldCtx.is_elem
+
+
 def test_fqm_rank_validates_its_rows():
     ctx = field_create(2, 4)
     assert fqm_rank(ctx, []) == 0
