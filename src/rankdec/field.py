@@ -37,7 +37,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InternalInconsistency,
@@ -152,7 +152,8 @@ def _read_tables(tables, radix: int, add, x: int) -> int:
 # Coefficient lists are little-endian with no trailing zeros; the ops
 # object supplies scalar arithmetic (duck type: order, p, add, sub, neg,
 # mul, inv), so a _PrimeOps or a FieldCtx serves.  The same duck type
-# feeds the row reduction _generic_rref at either level of the tower.
+# feeds the row reduction _generic_rref, used for F_{q^m} and for F_q with
+# q >= 5; F_2, F_3 and F_4 have bit-packed eliminations of their own.
 
 
 def _ptrim(c: list[int]) -> list[int]:
@@ -743,23 +744,89 @@ def _width(F, rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
     if any(len(row) != ncols for row in rows):
         raise ValueError(f"every row of the matrix must have {ncols} entries")
     order = F.order
-    if any(not (issubclass(type(x), int) and 0 <= x < order) for row in rows for x in row):
+    entries = list(itertools.chain.from_iterable(rows))
+    typed = all(issubclass(t, int) for t in set(map(type, entries)))
+    if not (typed and 0 <= min(entries, default=0) and max(entries, default=0) < order):
         raise ValueError(f"matrix entries must be ints in [0, {order})")
     return ncols
 
 
-def _rref_with_pivots(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    if not rows:
-        return [], []
-    ncols = _width(ctx.base, rows)
+# entries as bytes -> their bit 0 and bit 1 as the digits of a binary numeral
+_PLANE_LO = bytes.maketrans(b"\0\1\2\3", b"0101")
+_PLANE_HI = bytes.maketrans(b"\0\1\2\3", b"0011")
+
+
+def _planes_rref(lo: list[int], hi: list[int], ncols: int, q: int) -> list[int]:
+    """In-place RREF over F_3 or F_4 with the pivoting of _generic_rref, on
+    rows held as bit planes: bit j of lo[i] and hi[i] are bits 0 and 1 of
+    entry (i, j).  Returns the pivot columns.
+
+    F_3: the sum of (x, y) and (u, v) is (y|v ^ s, x|u ^ s) with
+    s = (x|v) ^ (y|u), and negation swaps the planes.  F_4: entry
+    a0 + 2*a1 is a0 + a1*w with w^2 = w + 1; sums are plane-wise XOR, and
+    w maps (a, b) to (b, a^b), w^2 maps it to (a^b, a).
+    """
+    pivots = []
+    r = 0
+    nrows = len(lo)
+    for c in range(ncols):
+        bit = 1 << c
+        pr = next((i for i in range(r, nrows) if (lo[i] | hi[i]) & bit), -1)
+        if pr < 0:
+            continue
+        a, b = lo[pr], hi[pr]
+        lo[pr], hi[pr] = lo[r], hi[r]
+        if b & bit:  # scale the pivot entry to 1
+            a, b = (b, a) if q == 3 else (b, a ^ b) if a & bit else (a ^ b, a)
+        lo[r], hi[r] = a, b
+        ab = a ^ b
+        for i in range(nrows):
+            x, y = lo[i], hi[i]
+            if i == r or not (x | y) & bit:
+                continue
+            # add (u, v) = -f times the pivot row, f being entry (i, c)
+            if q == 3:
+                u, v = (a, b) if y & bit else (b, a)
+                s = (x | v) ^ (y | u)
+                lo[i], hi[i] = (y | v) ^ s, (x | u) ^ s
+            else:
+                u, v = ((ab, a) if x & bit else (b, ab)) if y & bit else (a, b)
+                lo[i], hi[i] = x ^ u, y ^ v
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _reduce(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list[int], Callable]:
+    """RREF of validated rows over F_q by the elimination that suits q:
+    bit-packed at q = 2, two bit planes at q = 3 and 4, _generic_rref
+    otherwise.  Returns the reduced rows, still packed, the pivot columns
+    and the function that unpacks a reduced row into its digit list."""
     if ctx.q == 2:
         packed = _gf2_pack_rows(rows)
-        pivots = _gf2_rref(packed, ncols)
-        out = [[(v >> j) & 1 for j in range(ncols)] for v in packed]
-        return out, pivots
+        return packed, _gf2_rref(packed, ncols), lambda v: [(v >> j) & 1 for j in range(ncols)]
+    if ctx.q <= 4:
+        digits = [b"\0" + bytes(reversed(row)) for row in rows]
+        lo = [int(d.translate(_PLANE_LO), 2) for d in digits]
+        hi = [int(d.translate(_PLANE_HI), 2) for d in digits]
+        pivots = _planes_rref(lo, hi, ncols, ctx.q)
+
+        def unpack(v):
+            return [(v[0] >> j & 1) | (v[1] >> j & 1) << 1 for j in range(ncols)]
+
+        return list(zip(lo, hi)), pivots, unpack
     work = [list(r) for r in rows]
-    pivots = _generic_rref(work, ctx.base)
-    return work, pivots
+    return work, _generic_rref(work, ctx.base), lambda v: v
+
+
+def _rref_with_pivots(
+    ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], list[int]]:
+    """RREF of validated rows as digit lists, and its pivot columns."""
+    reduced, pivots, unpack = _reduce(ctx, rows, ncols)
+    return [unpack(v) for v in reduced], pivots
 
 
 def _gf2_kernel_packed(packed: list[int], ncols: int) -> list[int]:
@@ -783,18 +850,15 @@ def _gf2_kernel_packed(packed: list[int], ncols: int) -> list[int]:
 
 def rref(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Reduced row echelon form (idempotent, shape preserved)."""
-    return _rref_with_pivots(ctx, rows)[0]
+    if not rows:
+        return []
+    return _rref_with_pivots(ctx, rows, _width(ctx.base, rows))[0]
 
 
 def rank(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
-    ncols = _width(ctx.base, rows)
-    if ctx.q == 2:
-        packed = _gf2_pack_rows(rows)
-        return len(_gf2_rref(packed, ncols))
-    work = [list(r) for r in rows]
-    return len(_generic_rref(work, ctx.base))
+    return len(_reduce(ctx, rows, _width(ctx.base, rows))[1])
 
 
 def fqm_rank(ctx: FieldCtx, mat: Sequence[Sequence[int]]) -> int:
@@ -820,8 +884,7 @@ def kernel_basis(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int | None
     if ctx.q == 2:
         packed = _gf2_kernel_packed(_gf2_pack_rows(rows), ncols)
         return [[(v >> j) & 1 for j in range(ncols)] for v in packed]
-    reduced = [list(r) for r in rows]
-    pivots = _generic_rref(reduced, F)
+    reduced, pivots = _rref_with_pivots(ctx, rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     vecs = []
@@ -835,7 +898,7 @@ def kernel_basis(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int | None
         vecs.append(v)
     if not vecs:
         return []
-    return [row for row in rref(ctx, vecs) if any(row)]
+    return _rref_with_pivots(ctx, vecs, ncols)[0]  # independent vectors: no zero rows
 
 
 def solve(ctx: FieldCtx, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | None:
@@ -845,7 +908,7 @@ def solve(ctx: FieldCtx, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> l
     if not rows:
         return None
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = _rref_with_pivots(ctx, aug)  # checks rows and rhs in one pass
+    reduced, pivots = _rref_with_pivots(ctx, aug, _width(ctx.base, aug))  # checks rows and rhs at once
     ncols = len(aug[0]) - 1
     if ncols in pivots:
         return None  # inconsistent: pivot in the rhs column
@@ -915,8 +978,7 @@ def subspace_from_vectors(ctx: FieldCtx, ambient: int, vectors: Iterable[Sequenc
     rows = [list(v) for v in vectors]
     if not rows:
         return Subspace(ambient, ())
-    _width(ctx.base, rows, ambient)
-    reduced, pivots = _rref_with_pivots(ctx, rows)
+    reduced, pivots = _rref_with_pivots(ctx, rows, _width(ctx.base, rows, ambient))
     return Subspace(ambient, tuple(tuple(reduced[i]) for i in range(len(pivots))))
 
 

@@ -148,11 +148,16 @@ def _locator_rows(
     blk = k + t  # at least t + 1, so the point maps cover the locator blocks too
     place = [q ** (m * c) for c in range(t + 1 + len(interps) * blk)]
 
-    def point_map(gj):
-        """y -> D(y * g_j^(q^l)) for l < k + t, side by side."""
+    def point_maps(gj):
+        """y -> D(y * g_j^(q^l)) side by side, for the locator blocks l <= t
+        and for the numerator blocks l < k + t."""
         hs = [ctx.frob(gj, l) for l in range(blk)]
         if q != 2:
-            return lambda y: sum(dual(ctx.mul(y, h)) * place[l] for l, h in enumerate(hs))
+
+            def blocks(hs):
+                return lambda y: sum(dual(ctx.mul(y, h)) * place[l] for l, h in enumerate(hs))
+
+            return blocks(hs[: t + 1]), blocks(hs)
         # No multiply per block: D(y * h) is the XOR of D(b_s * h) over the
         # set bits s of y, and D(b_s * h) is bits s..s+m-1 of the sequence
         # Tr(h * a^k), k < 2m - 1, which starts with D(h) and goes on by the
@@ -161,17 +166,18 @@ def _locator_rows(
         for c in range(m - 1):
             seqs = [sq | ((sq >> c) & taps).bit_count() % 2 << (m + c) for sq in seqs]
         windows = [[(sq >> s) & (ctx.order - 1) for sq in seqs] for s in range(m)]
-        return ctx.linear_map([sum(w * place[l] for l, w in enumerate(ws)) for ws in windows])
+        f = ctx.linear_map([sum(w * place[l] for l, w in enumerate(ws)) for ws in windows])
+        return f, f  # the locator part is cut to t + 1 blocks by the caller
 
     ys = [[adj.eval(b) for b in beta] for adj in (y_poly.adjoint() for y_poly in interps)]
     rows = [0] * (len(interps) * len(points) * m)
-    for j, gj in enumerate(points):  # one point's map at a time
-        f = point_map(gj)
-        nums = [f(ctx.neg(b)) for b in beta]
+    for j, gj in enumerate(points):  # one point's maps at a time
+        loc, num = point_maps(gj)
+        nums = [num(ctx.neg(b)) for b in beta]
         for i, yi in enumerate(ys):
             row = (i * len(points) + j) * m
             num_place = place[t + 1 + i * blk]
-            rows[row : row + m] = [f(y) % place[t + 1] + nr * num_place for y, nr in zip(yi, nums)]
+            rows[row : row + m] = [loc(y) % place[t + 1] + nr * num_place for y, nr in zip(yi, nums)]
     return rows
 
 
@@ -188,7 +194,8 @@ def _locator_candidates(
     coefficients of each numerator N_i, all expanded into m base-field
     coordinates.  _locator_rows builds each scalar row directly from the
     trace-dual basis; at q = 2 the rows stay bit-packed for the GF(2)
-    kernel, at other q they are split into digit lists for kernel_basis.
+    kernel, at other q they are split into digit lists for kernel_basis,
+    which eliminates on two bit planes per row at q = 3 and 4.
     Returns the decoded (locator, numerators) candidates in
     deterministic echelon order, plus system diagnostics.
     """
@@ -270,31 +277,39 @@ def _decode_rows(code: GabidulinCode, rows: tuple[tuple[int, ...], ...], t: int)
     """
     ctx = code.ctx
     n, k, m = code.n, code.k, ctx.m
-    if n < m:
-        g_poly = co_interpolator(ctx, col_support(ctx, code.g))
-        lifted = [interpolate(ctx, code.g, row).compose(g_poly) for row in rows]
-        inner_rows = tuple(tuple(y.eval(b) for b in ctx.basis) for y in lifted)
-        inner = _decode_rows(GabidulinCode(ctx, ctx.basis, k + m - n), inner_rows, t)
-        if not inner.ok:
-            return inner
-        diag = inner.diagnostics
-        msgs = []
-        for inner_msg in inner.messages:
-            quot, rem = inner_msg.rdiv(g_poly)
-            if not rem.is_zero:
-                reason = "inner solution lies outside the short code (not right-divisible by G)"
-                return DecodeOutcome(ok=False, reason=reason, diagnostics=diag)
-            if quot.qdeg is not None and quot.qdeg >= k:
-                reason = "recovered message exceeds the code dimension"
-                return DecodeOutcome(ok=False, reason=reason, diagnostics=diag)
-            msgs.append(quot)
-        out = _accept(code, rows, msgs, t, inner.locator, diag)
-        if out is None:
-            reason = "validated inner solution does not match the received word"
-            out = DecodeOutcome(ok=False, reason=reason, diagnostics=diag)
-        return out
+    if n == m:
+        return _decode_interpolated(code, rows, [interpolate(ctx, code.g, row) for row in rows], t)
+    g_poly = co_interpolator(ctx, col_support(ctx, code.g))
+    # Y o G has q-degree below m, so it is already the interpolator of its
+    # values at the basis, the inner code's evaluation points
+    lifted = [interpolate(ctx, code.g, row).compose(g_poly) for row in rows]
+    inner_rows = tuple(tuple(y.eval(b) for b in ctx.basis) for y in lifted)
+    inner = _decode_interpolated(GabidulinCode(ctx, ctx.basis, k + m - n), inner_rows, lifted, t)
+    if not inner.ok:
+        return inner
+    diag = inner.diagnostics
+    msgs = []
+    for inner_msg in inner.messages:
+        quot, rem = inner_msg.rdiv(g_poly)
+        if not rem.is_zero:
+            reason = "inner solution lies outside the short code (not right-divisible by G)"
+            return DecodeOutcome(ok=False, reason=reason, diagnostics=diag)
+        if quot.qdeg is not None and quot.qdeg >= k:
+            reason = "recovered message exceeds the code dimension"
+            return DecodeOutcome(ok=False, reason=reason, diagnostics=diag)
+        msgs.append(quot)
+    out = _accept(code, rows, msgs, t, inner.locator, diag)
+    if out is None:
+        reason = "validated inner solution does not match the received word"
+        out = DecodeOutcome(ok=False, reason=reason, diagnostics=diag)
+    return out
 
-    interps = [interpolate(ctx, code.g, row) for row in rows]
+
+def _decode_interpolated(
+    code: GabidulinCode, rows: tuple[tuple[int, ...], ...], interps: list[QPoly], t: int
+) -> DecodeOutcome:
+    """_decode_rows for a full-length code, given the interpolators of the rows."""
+    ctx, k = code.ctx, code.k
     cands, diag = _locator_candidates(ctx, code.g, interps, k, t)
     tried = 0
     for lam, nums in cands:

@@ -320,7 +320,7 @@ def test_kernel_identity_and_zero_matrix():
 
 
 def test_rank_plus_nullity_random():
-    for q in (2, 3):
+    for q in (2, 3, 4, 5, 9):
         ctx = field_create(q, 2)
         rng = make_rng(40 + q)
         for _ in range(100):
@@ -337,7 +337,7 @@ def test_rank_plus_nullity_random():
 
 
 def test_rref_idempotent():
-    for q in (2, 3):
+    for q in (2, 3, 4, 5, 9):
         ctx = field_create(q, 2)
         rng = make_rng(50 + q)
         for _ in range(50):

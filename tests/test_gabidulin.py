@@ -13,6 +13,8 @@ from rankdec import (
     code_from_json,
     code_new,
     code_to_json,
+    co_interpolator,
+    col_support,
     decode_full,
     decode_general,
     derive_seed,
@@ -210,6 +212,20 @@ def test_lifted_decode_beyond_radius_fails_without_raising():
                     else:
                         outside += "outside the short code" in out.reason
     assert outside > 0
+
+
+def test_lifted_interpolator_equals_the_interpolation_of_its_values():
+    # the lift hands Y o G to the inner decode as the interpolator of the
+    # inner word, its values at the basis; exact since Y o G has q-degree < m
+    for q, m, n, k in ((2, 10, 7, 3), (2, 12, 11, 3), (3, 6, 5, 1), (4, 5, 4, 1)):
+        ctx = field_create(q, m)
+        rng = make_rng(90 + m)
+        for trial in range(10):
+            code = random_code(ctx, n, k, derive_seed(91 + q, trial))
+            g_poly = co_interpolator(ctx, col_support(ctx, code.g))
+            word = [rand_elem(ctx, rng) for _ in range(n)]
+            lifted = interpolate(ctx, code.g, word).compose(g_poly)
+            assert interpolate(ctx, ctx.basis, [lifted.eval(b) for b in ctx.basis]) == lifted
 
 
 def test_decode_outcome_diagnostics_shape():
