@@ -756,6 +756,17 @@ _PLANE_LO = bytes.maketrans(b"\0\1\2\3", b"0101")
 _PLANE_HI = bytes.maketrans(b"\0\1\2\3", b"0011")
 
 
+def _pack_planes(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Rows of F_3 or F_4 entries as their two bit planes (lo, hi)."""
+    digits = [b"\0" + bytes(reversed(row)) for row in rows]
+    return [[int(d.translate(plane), 2) for d in digits] for plane in (_PLANE_LO, _PLANE_HI)]
+
+
+def _plane_digits(lo: int, hi: int, ncols: int) -> list[int]:
+    """The entries of one bit-plane row."""
+    return [(lo >> j & 1) | (hi >> j & 1) << 1 for j in range(ncols)]
+
+
 def _planes_rref(lo: list[int], hi: list[int], ncols: int, q: int) -> list[int]:
     """In-place RREF over F_3 or F_4 with the pivoting of _generic_rref, on
     rows held as bit planes: bit j of lo[i] and hi[i] are bits 0 and 1 of
@@ -808,15 +819,9 @@ def _reduce(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> tuple[l
         packed = _gf2_pack_rows(rows)
         return packed, _gf2_rref(packed, ncols), lambda v: [(v >> j) & 1 for j in range(ncols)]
     if ctx.q <= 4:
-        digits = [b"\0" + bytes(reversed(row)) for row in rows]
-        lo = [int(d.translate(_PLANE_LO), 2) for d in digits]
-        hi = [int(d.translate(_PLANE_HI), 2) for d in digits]
+        lo, hi = _pack_planes(rows)
         pivots = _planes_rref(lo, hi, ncols, ctx.q)
-
-        def unpack(v):
-            return [(v[0] >> j & 1) | (v[1] >> j & 1) << 1 for j in range(ncols)]
-
-        return list(zip(lo, hi)), pivots, unpack
+        return list(zip(lo, hi)), pivots, lambda v: _plane_digits(*v, ncols)
     work = [list(r) for r in rows]
     return work, _generic_rref(work, ctx.base), lambda v: v
 
@@ -848,6 +853,30 @@ def _gf2_kernel_packed(packed: list[int], ncols: int) -> list[int]:
     return vecs
 
 
+def _planes_kernel(lo: list[int], hi: list[int], ncols: int, q: int) -> list[tuple[int, int]]:
+    """Kernel basis of rows held as bit planes over F_3 or F_4 (reduced in
+    place), as (lo, hi) pairs in the canonical order of kernel_basis.
+
+    Only the free columns of the reduced rows are read.  The vector of
+    free column f is 1 at f and minus entry (idx, f) at the pivot column of
+    row idx; negation swaps the planes at F_3 and is the identity at F_4.
+    """
+    pivots = _planes_rref(lo, hi, ncols, q)
+    neg_lo, neg_hi = (hi, lo) if q == 3 else (lo, hi)
+    vlo, vhi = [], []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        a, b = 1 << f, 0
+        for idx, c in enumerate(pivots):
+            if c > f:  # rows from here on are zero at column f
+                break
+            a |= (neg_lo[idx] >> f & 1) << c
+            b |= (neg_hi[idx] >> f & 1) << c
+        vlo.append(a)
+        vhi.append(b)
+    _planes_rref(vlo, vhi, ncols, q)  # independent vectors: no zero rows
+    return list(zip(vlo, vhi))
+
+
 def rref(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Reduced row echelon form (idempotent, shape preserved)."""
     if not rows:
@@ -875,29 +904,23 @@ def kernel_basis(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int | None
     Deterministic: the same matrix always yields the same basis, in the
     same order.
     """
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols is required for a matrix with no rows")
-        return [[1 if j == f else 0 for j in range(ncols)] for f in range(ncols)]
+    if not rows and ncols is None:
+        raise ValueError("ncols is required for a matrix with no rows")
     F = ctx.base
     ncols = _width(F, rows, ncols)
     if ctx.q == 2:
         packed = _gf2_kernel_packed(_gf2_pack_rows(rows), ncols)
         return [[(v >> j) & 1 for j in range(ncols)] for v in packed]
+    if ctx.q <= 4:
+        return [_plane_digits(a, b, ncols) for a, b in _planes_kernel(*_pack_planes(rows), ncols, ctx.q)]
     reduced, pivots = _rref_with_pivots(ctx, rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     vecs = []
-    for f in free:
+    for f in sorted(set(range(ncols)).difference(pivots)):
         v = [0] * ncols
         v[f] = 1
         for idx, c in enumerate(pivots):
-            coeff = reduced[idx][f]
-            if coeff:
-                v[c] = F.neg(coeff)
+            v[c] = F.neg(reduced[idx][f])
         vecs.append(v)
-    if not vecs:
-        return []
     return _rref_with_pivots(ctx, vecs, ncols)[0]  # independent vectors: no zero rows
 
 

@@ -26,8 +26,9 @@ back out by exact right division by G.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DegreeTooLarge,
@@ -39,6 +40,8 @@ from .errors import (
 from .field import (
     FieldCtx,
     _gf2_kernel_packed,
+    _pack_planes,
+    _planes_kernel,
     _unpack_base,
     col_support,
     kernel_basis,
@@ -133,11 +136,44 @@ class DecodeOutcome:
         return self.errors[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _dual_planes(ctx: FieldCtx):
+    """D of ctx.trace_dual() on bit planes, for q = 3 and 4: z -> (lo, hi),
+    bits a of lo and hi being bits 0 and 1 of digit a of D(z).
+
+    Built on first use per field (the context stays as it was, so it
+    pickles as before), from one table per four digits of z, at most 256
+    entries each.  Sums are those of field._planes_rref.
+    """
+    q, dual = ctx.q, ctx.trace_dual()[1]
+    radix = q**4
+    tables = [
+        list(zip(*_pack_planes([ctx.digits(dual(v * q**c)) for v in range(q ** min(4, ctx.m - c))])))
+        for c in range(0, ctx.m, 4)
+    ]
+
+    def read(z):
+        lo = hi = 0
+        for tab in tables:
+            u, v = tab[z % radix]
+            z //= radix
+            if q == 4:
+                lo, hi = lo ^ u, hi ^ v
+            else:
+                s = (lo | v) ^ (hi | u)
+                lo, hi = (hi | v) ^ s, (lo | u) ^ s
+        return lo, hi
+
+    return read
+
+
 def _locator_rows(
     ctx: FieldCtx, points: Sequence[int], interps: Sequence[QPoly], k: int, t: int
-) -> list[int]:
+) -> list:
     """The u*n*m rows of the F_q linearization of (Y_i o L)(g_j) = N_i(g_j),
-    each packed as an int whose base-q digits are the row's entries.
+    packed for the elimination that q picks: bit-packed ints at q = 2,
+    (lo, hi) bit-plane pairs at q = 3 and 4 (as in field._planes_rref), and
+    ints whose base-q digits are the row's entries at q >= 5.
 
     Row (i, j, r) is digit r of the equation for row i at point g_j.  Its
     locator block e is D(Y_i*(beta_r) * g_j^(q^e)), with D(z) = (Tr(z * b_a))_a,
@@ -145,13 +181,32 @@ def _locator_rows(
     """
     m, q = ctx.m, ctx.q
     beta, dual = ctx.trace_dual()
+    planes = q in (3, 4)
+    if planes:
+        dual = _dual_planes(ctx)
     blk = k + t  # at least t + 1, so the point maps cover the locator blocks too
-    place = [q ** (m * c) for c in range(t + 1 + len(interps) * blk)]
+    # block c of a row starts at column m * c: a digit shift of a base-q
+    # int, a bit shift of each plane
+    place = [(2 if planes else q) ** (m * c) for c in range(t + 1 + len(interps) * blk)]
 
     def point_maps(gj):
         """y -> D(y * g_j^(q^l)) side by side, for the locator blocks l <= t
         and for the numerator blocks l < k + t."""
         hs = [ctx.frob(gj, l) for l in range(blk)]
+        if planes:
+
+            def blocks(hs):
+                def f(y):
+                    lo = hi = 0
+                    for h, pl in zip(hs, place):
+                        a, b = dual(ctx.mul(y, h))
+                        lo += a * pl
+                        hi += b * pl
+                    return lo, hi
+
+                return f
+
+            return blocks(hs[: t + 1]), blocks(hs)
         if q != 2:
 
             def blocks(hs):
@@ -170,14 +225,20 @@ def _locator_rows(
         return f, f  # the locator part is cut to t + 1 blocks by the caller
 
     ys = [[adj.eval(b) for b in beta] for adj in (y_poly.adjoint() for y_poly in interps)]
+    neg_beta = [ctx.neg(b) for b in beta]
     rows = [0] * (len(interps) * len(points) * m)
     for j, gj in enumerate(points):  # one point's maps at a time
         loc, num = point_maps(gj)
-        nums = [num(ctx.neg(b)) for b in beta]
+        nums = [num(b) for b in neg_beta]
         for i, yi in enumerate(ys):
             row = (i * len(points) + j) * m
             num_place = place[t + 1 + i * blk]
-            rows[row : row + m] = [loc(y) % place[t + 1] + nr * num_place for y, nr in zip(yi, nums)]
+            if planes:
+                rows[row : row + m] = [
+                    (a + c * num_place, b + d * num_place) for (a, b), (c, d) in zip(map(loc, yi), nums)
+                ]
+            else:
+                rows[row : row + m] = [loc(y) % place[t + 1] + nr * num_place for y, nr in zip(yi, nums)]
     return rows
 
 
@@ -187,53 +248,65 @@ def _locator_candidates(
     interps: Sequence[QPoly],
     k: int,
     t: int,
-) -> tuple[list[tuple[QPoly, list[QPoly]]], dict]:
+) -> tuple[Iterator[tuple[QPoly, list[QPoly]]], dict]:
     """Kernel of the F_q linearization of (Y_i o L)(g_j) = N_i(g_j).
 
     Unknowns: the t+1 coefficients of the shared locator L and the k+t
     coefficients of each numerator N_i, all expanded into m base-field
     coordinates.  _locator_rows builds each scalar row directly from the
-    trace-dual basis; at q = 2 the rows stay bit-packed for the GF(2)
-    kernel, at other q they are split into digit lists for kernel_basis,
-    which eliminates on two bit planes per row at q = 3 and 4.
-    Returns the decoded (locator, numerators) candidates in
-    deterministic echelon order, plus system diagnostics.
+    trace-dual basis, packed for the elimination that q picks: the GF(2)
+    kernel on bit-packed rows at q = 2, field._planes_kernel on two bit
+    planes per row at q = 3 and 4 (the coefficients are read straight off
+    the plane bits), kernel_basis on digit lists otherwise.
+    Returns the (locator, numerators) candidates in deterministic echelon
+    order, built lazily as the caller iterates, plus system diagnostics.
     """
-    m, n, u = ctx.m, len(points), len(interps)
+    m, n, u, q = ctx.m, len(points), len(interps), ctx.q
     blk = k + t
     ncols = m * (t + 1 + u * blk)
     rows = _locator_rows(ctx, points, interps, k, t)
     n_rows = len(rows)
-    if ctx.q == 2:
+    if n_rows != u * n * m:
+        raise InternalInconsistency(f"locator system has {n_rows} rows, expected {u * n * m}")
+    mask = (1 << m) - 1
+    if q == 2:
         kern = _gf2_kernel_packed(rows, ncols)
-        mask = (1 << m) - 1
 
         def coeff(vec, off):
             return (vec >> off) & mask
 
+    elif q <= 4:
+        if q == 3 and any(lo & hi for lo, hi in rows):
+            raise InternalInconsistency("locator row has an entry outside F_3")
+        kern = _planes_kernel([lo for lo, _ in rows], [hi for _, hi in rows], ncols, q)
+
+        def coeff(vec, off):
+            # bit a of each plane becomes base-q digit a; no digit carries
+            lo, hi = vec[0] >> off & mask, vec[1] >> off & mask
+            return int(bin(lo)[2:], q) + 2 * int(bin(hi)[2:], q)
+
     else:
-        kern = kernel_basis(ctx, [_unpack_base(v, ctx.q, ncols) for v in rows], ncols)
+        kern = kernel_basis(ctx, [_unpack_base(v, q, ncols) for v in rows], ncols)
 
         def coeff(vec, off):
             return ctx.pack(vec[off : off + m])
 
-    if n_rows != u * n * m:
-        raise InternalInconsistency(f"locator system has {n_rows} rows, expected {u * n * m}")
-    cands = []
-    for vec in kern:
-        lam = QPoly(ctx, [coeff(vec, e * m) for e in range(t + 1)])
-        nums = [
-            QPoly(ctx, [coeff(vec, m * (t + 1 + i * blk + l)) for l in range(blk)])
-            for i in range(u)
-        ]
-        cands.append((lam, nums))
+    def cands():
+        for vec in kern:
+            lam = QPoly(ctx, [coeff(vec, e * m) for e in range(t + 1)])
+            nums = [
+                QPoly(ctx, [coeff(vec, m * (t + 1 + i * blk + l)) for l in range(blk)])
+                for i in range(u)
+            ]
+            yield lam, nums
+
     diag = {
         "system_rows": n_rows,
         "system_cols": ncols,
         "kernel_dim": len(kern),
         "underdetermined": len(kern) > m,
     }
-    return cands, diag
+    return cands(), diag
 
 
 def _accept(

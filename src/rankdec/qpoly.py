@@ -57,7 +57,8 @@ class QPoly:
                 if not ctx.is_elem(c):
                     raise ValueError(f"coefficient {c!r} is not an element of the field")
                 j = i % ctx.m
-                folded[j] = ctx.add(folded[j], c)
+                # only a coefficient folded back from i >= m can meet a filled slot
+                folded[j] = ctx.add(folded[j], c) if folded[j] else c
         while folded and folded[-1] == 0:
             folded.pop()
         self.ctx = ctx

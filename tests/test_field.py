@@ -368,6 +368,15 @@ def test_solve_consistent_and_inconsistent():
     assert solve(ctx, [[1, 0], [1, 0]], [1, 2]) is None
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_kernel_without_rows_is_the_identity(q):
+    ctx = field_create(q, 2)
+    assert kernel_basis(ctx, [], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_basis(ctx, [], 0) == []
+    with pytest.raises(ValueError):
+        kernel_basis(ctx, [])
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_ragged_rows_are_rejected(q):
     ctx = field_create(q, 2)

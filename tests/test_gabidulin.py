@@ -1,5 +1,7 @@
 """Gabidulin encoding and the rank-error decoder, full length and n < m."""
 
+import pickle
+
 import pytest
 
 from conftest import make_rng, rand_elem, rand_independent, rand_qpoly
@@ -246,3 +248,18 @@ def test_code_json_round_trip():
     again = code_from_json(code_to_json(code))
     assert again == code
     assert again.ctx == ctx
+
+
+@pytest.mark.parametrize("q,m,n,k", [(3, 6, 6, 2), (4, 5, 4, 1)])
+def test_context_pickles_and_decodes_identically_after_a_decode(q, m, n, k):
+    # a decode fills the per-field caches; the context and the code must
+    # still travel to a worker process and decode the same there
+    ctx = field_create(q, m)
+    code = random_code(ctx, n, k, seed=40 + q)
+    msg = random_message(ctx, k, seed=41 + q)
+    word = _noisy_word(ctx, code, msg, random_error_vector(ctx, n, (n - k) // 2, seed=42 + q))
+    first = decode_general(code, word)
+    assert first.ok and first.message == msg
+    again = pickle.loads(pickle.dumps(code))
+    assert again == code and again.ctx.trace_dual()[0] == ctx.trace_dual()[0]
+    assert decode_general(again, word) == first

@@ -267,3 +267,46 @@ def test_iword_json_round_trip():
     ctx = field_create(2, 6)
     err = random_burst_error(ctx, 3, 6, 2, 2, seed=20)
     assert iword_from_json(ctx, iword_to_json(ctx, err)) == err
+
+
+@pytest.mark.parametrize(
+    "q,m,n,u,t,zeta",
+    [
+        # full length: within the unique radius, then beyond it on both
+        # sides of failure_predicate
+        (3, 6, 6, 3, 2, 2),
+        (3, 6, 6, 2, 3, 1),
+        (3, 6, 6, 2, 3, 2),
+        (3, 6, 6, 3, 3, 1),
+        (3, 6, 6, 3, 3, 3),
+        (4, 5, 5, 2, 2, 2),
+        (4, 5, 5, 3, 3, 2),
+        (4, 5, 5, 3, 3, 3),
+        # lifted, n < m
+        (3, 6, 5, 2, 2, 2),
+        (3, 6, 5, 3, 3, 2),
+        (3, 6, 5, 3, 3, 3),
+        (4, 5, 4, 3, 1, 1),
+        (4, 5, 4, 2, 2, 1),
+        (4, 5, 4, 2, 2, 2),
+        (4, 5, 4, 3, 2, 1),
+        (4, 5, 4, 3, 2, 2),
+    ],
+)
+def test_idecode_at_q3_and_q4_follows_failure_predicate(q, m, n, u, t, zeta):
+    # the bit-plane locator system end to end: k = 1, so every t here is
+    # at most max_radius
+    ctx = field_create(q, m)
+    trials = 6
+    failures = 0
+    for trial in range(trials):
+        _, msgs, _, out = _trial(ctx, n, 1, u, t, zeta, seed=derive_seed(60 + 10 * q + n, trial))
+        if out.ok:
+            assert list(out.messages) == msgs and stacked_rank(ctx, out.errors) <= t
+        else:
+            failures += 1
+            assert out.diagnostics["underdetermined"] and "underdetermined" in out.reason
+    if failure_predicate(n, 1, t, zeta):
+        assert failures >= trials - 1
+    else:
+        assert failures == 0

@@ -28,7 +28,7 @@ from rankdec import (
     random_error_vector,
     random_message,
 )
-from rankdec.field import _unpack_base, col_support, ext
+from rankdec.field import _plane_digits, _unpack_base, col_support, ext
 from rankdec.gabidulin import _locator_candidates, _locator_rows
 from rankdec.qpoly import co_interpolator
 
@@ -88,7 +88,7 @@ def _check_same_rows(ctx, points, interps, k, t):
         assert got == want
     else:
         ncols = ctx.m * (t + 1 + len(interps) * (k + t))
-        assert [_unpack_base(v, ctx.q, ncols) for v in got] == want
+        assert [_plane_digits(lo, hi, ncols) for lo, hi in got] == want
 
 
 def _received(ctx, code, t, u, seed):
