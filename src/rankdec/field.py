@@ -13,7 +13,9 @@ Each level is a context: FieldCtx(q, m) is F_{q^m}, and its attribute
 when s = 1).  Code that works in F_q calls ``ctx.base`` directly.  Each
 context owns its multiplication: log/antilog tables when it has at most
 2**18 elements, and polynomial arithmetic modulo its defining polynomial
-otherwise.
+otherwise, which at q = 2 is a carry-less shift-xor product on plain ints.
+The tables are stepped by a linear map (multiplication by the generator);
+above the cap the Frobenius x -> x^(q^i) is one linear map per i.
 
 Moduli are chosen deterministically when omitted: the monic irreducible
 polynomial whose non-leading coefficients, read high to low as a base-q
@@ -26,9 +28,9 @@ first-nonzero pivoting so every downstream computation, decoders included,
 is reproducible bit for bit.
 
 FieldCtx is immutable after construction and safe to share between
-threads (its one cache, ``trace_dual``, is filled on first use with a
-value that depends on the context only); every function in this module
-is pure.
+threads (its caches, ``trace_dual`` and the Frobenius maps of a context
+above the cap, are filled on first use with values that depend on the
+context only); every function in this module is pure.
 """
 
 from __future__ import annotations
@@ -137,6 +139,17 @@ def _digitwise_neg(x: int, p: int) -> int:
     return out
 
 
+def _clmul(x: int, y: int) -> int:
+    """Carry-less product of GF(2)[z] polynomials held as ints (bit i is the
+    coefficient of z^i): one shift-xor per set bit of y."""
+    acc = 0
+    while y:
+        low = y & -y
+        acc ^= x * low
+        y ^= low
+    return acc
+
+
 def _read_tables(tables, radix: int, add, x: int) -> int:
     """Value at x of a linear map stored as one table per few digits of x."""
     acc = 0
@@ -237,6 +250,21 @@ def _pinvmod(F, a: Sequence[int], mod: Sequence[int]) -> list[int]:
         raise ZeroDivisionError("element is not invertible modulo the modulus")
     c = F.inv(r0[0])
     return _ptrim([F.mul(c, v) for v in t0])
+
+
+def _gf2_invmod(x: int, mod: int) -> int:
+    """Inverse of x modulo the irreducible mod, both GF(2)[z] ints as in
+    _clmul: extended Euclid keeping g1 * x = u and g2 * x = v modulo mod."""
+    u, v, g1, g2 = x, mod, 1, 0
+    while u > 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    if u:
+        return g1
+    raise ZeroDivisionError("element is not invertible modulo the modulus")
 
 
 def _is_irreducible(F, f: Sequence[int]) -> bool:
@@ -356,7 +384,8 @@ class FieldCtx:
         "_period",
         "_qexp",
         "_qpows",
-        "_frob_cols",
+        "_frob_maps",
+        "_mod",
         "_dual",
     )
 
@@ -380,17 +409,23 @@ class FieldCtx:
 
         self.basis = tuple(q**a for a in range(m))
         self._qpows = tuple(q**a for a in range(m + 1))
-        self._exp = self._log = self._qexp = self._frob_cols = self._dual = None
+        self._mod = self.pack(self.ext_modulus)  # at q = 2, the modulus as a GF(2)[z] int
+        self._exp = self._log = self._qexp = self._frob_maps = self._dual = None
         self._period = self.order - 1
         if self.order <= _TABLE_CAP:
             self._build_tables()
             self._qexp = tuple(pow(q, i, self._period) for i in range(m))
         else:
-            self._frob_cols = self._build_frob_columns()
+            self._frob_maps = [None] * m  # x -> x^(q^i) as a linear_map, built on first use
 
     def _mul_slow(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
+        if self.q == 2:
+            acc, d = _clmul(x, y), self.m
+            while acc >> d:  # cancel the terms of degree >= m by multiples of the modulus
+                acc ^= _clmul(acc >> d, self._mod)
+            return acc
         g = self.base
         q = self.q
         d = self.m
@@ -420,38 +455,18 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         gen = _find_generator(self)
+        step = self.linear_map([self._mul_slow(b, gen) for b in self.basis])
         exp = [0] * max(self._period, 1)
         log = [-1] * self.order
         acc = 1
         for i in range(self._period):
             exp[i] = acc
             log[acc] = i
-            acc = self._mul_slow(acc, gen)
+            acc = step(acc)
         if acc != 1:  # pragma: no cover
             raise InternalInconsistency("generator order mismatch")
         self._exp = exp
         self._log = log
-
-    def _build_frob_columns(self):
-        # columns of x -> x^(q^i) in basis B, for table-less contexts only
-        F = self.base
-        m = self.m
-        cols1 = tuple(tuple(self.digits(self.pow(b, self.q))) for b in self.basis)
-        mats = [tuple(tuple(1 if r == a else 0 for r in range(m)) for a in range(m)), cols1]
-        for _ in range(2, m):
-            prev = mats[-1]
-            nxt = []
-            for a in range(m):
-                acc = [0] * m
-                for b, coeff in enumerate(prev[a]):
-                    if coeff:
-                        col = cols1[b]
-                        for r in range(m):
-                            if col[r]:
-                                acc[r] = F.add(acc[r], F.mul(coeff, col[r]))
-                nxt.append(tuple(acc))
-            mats.append(tuple(nxt))
-        return tuple(mats)
 
     # -- extension field ops ------------------------------------------------
 
@@ -476,6 +491,8 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[(-self._log[x]) % self._period]
+        if self.q == 2:
+            return _gf2_invmod(x, self._mod)
         digits = _pinvmod(self.base, _ptrim(_unpack_base(x, self.q, self.m)), self.ext_modulus)
         return self.pack(digits)
 
@@ -507,16 +524,15 @@ class FieldCtx:
             return x
         if self._exp is not None:
             return self._exp[(self._log[x] * self._qexp[i]) % self._period]
-        F = self.base
-        cols = self._frob_cols[i]
-        acc = [0] * self.m
-        for a, d in enumerate(self.digits(x)):
-            if d:
-                col = cols[a]
-                for r in range(self.m):
-                    if col[r]:
-                        acc[r] = F.add(acc[r], F.mul(d, col[r]))
-        return self.pack(acc)
+        maps = self._frob_maps
+        if maps[i] is None:  # a race fills it twice with the same map
+            maps[i] = self._frob_map(i)
+        return maps[i](x)
+
+    def _frob_map(self, i: int):
+        # kept out of frob: a comprehension there would turn frob's locals
+        # into closure cells, which slows its table path by about a quarter
+        return self.linear_map([self.pow(b, self._qpows[i]) for b in self.basis])
 
     def trace(self, x: int) -> int:
         """Trace down to F_q: the sum of all Frobenius images of x."""
@@ -1033,12 +1049,6 @@ def subspace_perp(ctx: FieldCtx, space: Subspace) -> Subspace:
     m = ctx.m
     if space.ambient != m:
         raise ValueError("perp is defined for subspaces of the extension field")
-    if space.dim == 0:
-        ident = tuple(tuple(1 if j == i else 0 for j in range(m)) for i in range(m))
-        return Subspace(m, ident)
-    t_rows = []
-    for row in space.basis:
-        v = ctx.pack(row)
-        t_rows.append([ctx.trace(ctx.mul(v, ctx.basis[a])) for a in range(m)])
-    kern = kernel_basis(ctx, t_rows, m)
+    dual = ctx.trace_dual()[1]  # digit a of D(v) is Tr(v * b_a)
+    kern = kernel_basis(ctx, [ctx.digits(dual(ctx.pack(row))) for row in space.basis], m)
     return Subspace(m, tuple(tuple(r) for r in kern))

@@ -1,9 +1,10 @@
 """Arithmetic above the log-table cap (2**18 elements).
 
-These fields multiply by schoolbook polynomial products, invert with
+These fields multiply by polynomial products modulo the modulus (at q = 2
+a shift-xor product on ints, elsewhere on base-q digits), invert with
 extended Euclid, raise to powers by square-and-multiply and apply the
-Frobenius through precomputed column matrices.  Every check compares two
-independent routes through that code.
+Frobenius through one linear map per exponent, built on first use.  Every
+check compares two independent routes through that code.
 """
 
 import pytest
