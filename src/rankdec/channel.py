@@ -99,14 +99,18 @@ def random_error_vector(ctx: FieldCtx, n: int, t: int, seed: int) -> tuple[int, 
         return (0,) * n
     rng = Prng(seed)
     coeffs = _random_independent(ctx, rng, t)
-    support = _random_full_rank_fq(ctx, rng, t, n)
+    return _combine(ctx, coeffs, _random_full_rank_fq(ctx, rng, t, n))
+
+
+def _combine(ctx: FieldCtx, coeffs, support) -> tuple[int, ...]:
+    """The word sum_s coeffs[s] * support[s]: extension-field coefficients
+    times the rows of a matrix over F_q."""
     out = []
-    for j in range(n):
+    for j in range(len(support[0])):
         acc = 0
-        for s in range(t):
-            b = support[s][j]
-            if b:
-                acc = ctx.add(acc, ctx.smul(b, coeffs[s]))
+        for c, srow in zip(coeffs, support):
+            if srow[j]:
+                acc = ctx.add(acc, ctx.smul(srow[j], c))
         out.append(acc)
     return tuple(out)
 
@@ -144,18 +148,7 @@ def random_burst_error(
         ]
         if fqm_rank(ctx, amat) != zeta or stacked_rank(ctx, amat) != t:
             continue
-        rows = []
-        for i in range(u):
-            row = []
-            for j in range(n):
-                acc = 0
-                for s in range(t):
-                    b = support[s][j]
-                    if b:
-                        acc = ctx.add(acc, ctx.smul(b, amat[i][s]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(_combine(ctx, arow, support) for arow in amat)
     raise RankInfeasible(
         f"could not sample a burst error with t={t}, zeta={zeta} in {_RESAMPLE_CAP} attempts"
     )

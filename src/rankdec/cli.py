@@ -163,6 +163,29 @@ def _cmd_roundtrip(args) -> int:
     return 0 if successes == args.trials else 1
 
 
+def _interleaved_record(cmd: str, args, t: int, zeta: int) -> dict:
+    """Run the joint decoder at one (t, zeta) point; the fields that the
+    interleaved-sim and liga-boundary records share."""
+    params = (args.q, args.m, args.n, args.k, args.u, t, zeta, args.seed, args.retry)
+    succ, fail, wrong = _run_chunks(_interleaved_chunk, params, args.trials, args.jobs)
+    return {
+        "cmd": cmd,
+        "q": args.q,
+        "m": args.m,
+        "n": args.n,
+        "k": args.k,
+        "u": args.u,
+        "t": t,
+        "zeta": zeta,
+        "trials": args.trials,
+        "seed": args.seed,
+        "retry": int(args.retry),
+        "successes": succ,
+        "failures": fail,
+        "wrong_decodings": wrong,
+    }
+
+
 def _cmd_interleaved_sim(args) -> int:
     _validate_common(args)
     _check(args.u >= 1, "u must be at least 1")
@@ -172,33 +195,11 @@ def _cmd_interleaved_sim(args) -> int:
     t_max = code_radius if args.t_max is None else args.t_max
     _check(0 <= t_min <= t_max <= code_radius, f"need 0 <= t-min <= t-max <= {code_radius}")
     unique_radius = (args.n - args.k) // 2
-    records = []
-    violated = False
-    for t in range(t_min, t_max + 1):
-        zeta = min(args.u, t)
-        params = (args.q, args.m, args.n, args.k, args.u, t, zeta, args.seed, args.retry)
-        succ, fail, wrong = _run_chunks(_interleaved_chunk, params, args.trials, args.jobs)
-        if t <= unique_radius and succ != args.trials:
-            violated = True
-        records.append(
-            {
-                "cmd": "interleaved-sim",
-                "q": args.q,
-                "m": args.m,
-                "n": args.n,
-                "k": args.k,
-                "u": args.u,
-                "t": t,
-                "zeta": zeta,
-                "trials": args.trials,
-                "seed": args.seed,
-                "retry": int(args.retry),
-                "successes": succ,
-                "failures": fail,
-                "wrong_decodings": wrong,
-            }
-        )
+    records = [
+        _interleaved_record("interleaved-sim", args, t, min(args.u, t)) for t in range(t_min, t_max + 1)
+    ]
     _emit(records, list(records[0].keys()), args.format, args.out)
+    violated = any(r["t"] <= unique_radius and r["successes"] != args.trials for r in records)
     return 1 if violated else 0
 
 
@@ -222,28 +223,10 @@ def _cmd_liga_boundary(args) -> int:
         for zeta in zetas:
             _check(zeta <= t, f"zeta={zeta} needs t >= zeta (got t={t})")
             predicted = failure_predicate(args.n, args.k, t, zeta)
-            params = (args.q, args.m, args.n, args.k, args.u, t, zeta, args.seed, args.retry)
-            succ, fail, wrong = _run_chunks(_interleaved_chunk, params, args.trials, args.jobs)
-            records.append(
-                {
-                    "cmd": "liga-boundary",
-                    "q": args.q,
-                    "m": args.m,
-                    "n": args.n,
-                    "k": args.k,
-                    "u": args.u,
-                    "t": t,
-                    "zeta": zeta,
-                    "trials": args.trials,
-                    "seed": args.seed,
-                    "retry": int(args.retry),
-                    "successes": succ,
-                    "failures": fail,
-                    "wrong_decodings": wrong,
-                    "predicted_fail": int(predicted),
-                    "observed_fail_rate": (fail + wrong) / args.trials,
-                }
-            )
+            rec = _interleaved_record("liga-boundary", args, t, zeta)
+            rec["predicted_fail"] = int(predicted)
+            rec["observed_fail_rate"] = (rec["failures"] + rec["wrong_decodings"]) / args.trials
+            records.append(rec)
     _emit(records, list(records[0].keys()), args.format, args.out)
     return 0
 

@@ -203,16 +203,19 @@ def _pdivmod(F, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
     r = list(a)
     db = len(b) - 1
     lead_inv = F.inv(b[-1])
+    low = [(i, bi) for i, bi in enumerate(b[:-1]) if bi]
     q = [0] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        e = len(r) - 1
-        c = F.mul(r[-1], lead_inv)
-        q[e - db] = c
-        for i, bi in enumerate(b):
-            if bi:
-                r[e - db + i] = F.sub(r[e - db + i], F.mul(c, bi))
-        _ptrim(r)
-    return q, r
+    while len(r) > db:
+        c = r.pop()  # the leading term cancels exactly
+        if not c:
+            continue
+        if lead_inv != 1:
+            c = F.mul(c, lead_inv)
+        off = len(r) - db
+        q[off] = c
+        for i, bi in low:
+            r[off + i] = F.sub(r[off + i], F.mul(c, bi))
+    return q, _ptrim(r)
 
 
 def _pgcd(F, a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -426,32 +429,8 @@ class FieldCtx:
             while acc >> d:  # cancel the terms of degree >= m by multiples of the modulus
                 acc ^= _clmul(acc >> d, self._mod)
             return acc
-        g = self.base
-        q = self.q
-        d = self.m
-        a = _unpack_base(x, q, d)
-        b = _unpack_base(y, q, d)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] = g.add(conv[i + j], g.mul(ai, bj))
-        for e in range(2 * d - 2, d - 1, -1):
-            c = conv[e]
-            if c:
-                conv[e] = 0
-                off = e - d
-                for i in range(d):
-                    mi = self.ext_modulus[i]
-                    if mi:
-                        conv[off + i] = g.sub(conv[off + i], g.mul(c, mi))
-        out = 0
-        shift = 1
-        for c in conv[:d]:
-            out += c * shift
-            shift *= q
-        return out
+        q, m = self.q, self.m
+        return self.pack(_pmulmod(self.base, _unpack_base(x, q, m), _unpack_base(y, q, m), self.ext_modulus))
 
     def _build_tables(self) -> None:
         gen = _find_generator(self)
@@ -497,10 +476,7 @@ class FieldCtx:
         return self.pack(digits)
 
     def div(self, x: int, y: int) -> int:
-        y = self.inv(y)
-        if x == 0 or self._exp is None:
-            return self._mul_slow(x, y)
-        return self._exp[(self._log[x] + self._log[y]) % self._period]
+        return self.mul(x, self.inv(y))
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
@@ -682,17 +658,6 @@ def field_create(q: int, m: int, base_modulus=None, ext_modulus=None) -> FieldCt
 # linear algebra over F_q
 
 
-def _gf2_pack_rows(rows: Sequence[Sequence[int]]) -> list[int]:
-    out = []
-    for row in rows:
-        v = 0
-        for j, b in enumerate(row):
-            if b:
-                v |= 1 << j
-        out.append(v)
-    return out
-
-
 def _gf2_rref(packed: list[int], ncols: int) -> list[int]:
     """In-place RREF of bit-packed rows; returns the pivot column list."""
     pivots = []
@@ -773,8 +738,9 @@ _PLANE_HI = bytes.maketrans(b"\0\1\2\3", b"0011")
 
 
 def _pack_planes(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Rows of F_3 or F_4 entries as their two bit planes (lo, hi)."""
-    digits = [b"\0" + bytes(reversed(row)) for row in rows]
+    """Rows of F_q entries, q <= 4, as their two bit planes (lo, hi); an
+    F_2 row is its lo plane, and its hi plane is zero."""
+    digits = [b"\0" + bytes(row)[::-1] for row in rows]
     return [[int(d.translate(plane), 2) for d in digits] for plane in (_PLANE_LO, _PLANE_HI)]
 
 
@@ -798,7 +764,11 @@ def _planes_rref(lo: list[int], hi: list[int], ncols: int, q: int) -> list[int]:
     nrows = len(lo)
     for c in range(ncols):
         bit = 1 << c
-        pr = next((i for i in range(r, nrows) if (lo[i] | hi[i]) & bit), -1)
+        pr = -1
+        for i in range(r, nrows):
+            if (lo[i] | hi[i]) & bit:
+                pr = i
+                break
         if pr < 0:
             continue
         a, b = lo[pr], hi[pr]
@@ -827,16 +797,15 @@ def _planes_rref(lo: list[int], hi: list[int], ncols: int, q: int) -> list[int]:
 
 
 def _reduce(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list[int], Callable]:
-    """RREF of validated rows over F_q by the elimination that suits q:
-    bit-packed at q = 2, two bit planes at q = 3 and 4, _generic_rref
-    otherwise.  Returns the reduced rows, still packed, the pivot columns
-    and the function that unpacks a reduced row into its digit list."""
-    if ctx.q == 2:
-        packed = _gf2_pack_rows(rows)
-        return packed, _gf2_rref(packed, ncols), lambda v: [(v >> j) & 1 for j in range(ncols)]
-    if ctx.q <= 4:
+    """RREF of validated rows over F_q by the elimination that suits q: on
+    bit planes at q <= 4 (_gf2_rref on the lo plane alone at q = 2),
+    _generic_rref otherwise.  Returns the reduced rows, still packed, the
+    pivot columns and the function that unpacks a reduced row into its
+    digit list."""
+    q = ctx.q
+    if q <= 4:
         lo, hi = _pack_planes(rows)
-        pivots = _planes_rref(lo, hi, ncols, ctx.q)
+        pivots = _gf2_rref(lo, ncols) if q == 2 else _planes_rref(lo, hi, ncols, q)
         return list(zip(lo, hi)), pivots, lambda v: _plane_digits(*v, ncols)
     work = [list(r) for r in rows]
     return work, _generic_rref(work, ctx.base), lambda v: v
@@ -924,11 +893,11 @@ def kernel_basis(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int | None
         raise ValueError("ncols is required for a matrix with no rows")
     F = ctx.base
     ncols = _width(F, rows, ncols)
-    if ctx.q == 2:
-        packed = _gf2_kernel_packed(_gf2_pack_rows(rows), ncols)
-        return [[(v >> j) & 1 for j in range(ncols)] for v in packed]
     if ctx.q <= 4:
-        return [_plane_digits(a, b, ncols) for a, b in _planes_kernel(*_pack_planes(rows), ncols, ctx.q)]
+        lo, hi = _pack_planes(rows)
+        if ctx.q == 2:
+            return [_plane_digits(v, 0, ncols) for v in _gf2_kernel_packed(lo, ncols)]
+        return [_plane_digits(a, b, ncols) for a, b in _planes_kernel(lo, hi, ncols, ctx.q)]
     reduced, pivots = _rref_with_pivots(ctx, rows, ncols)
     vecs = []
     for f in sorted(set(range(ncols)).difference(pivots)):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from rankdec import cli
 from rankdec.cli import main
 
 
@@ -84,6 +85,27 @@ def test_interleaved_sim_retry_flag(capsys):
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert _records(out)[0]["retry"] == 1
+
+
+@pytest.mark.parametrize("failing_t,want", [(2, 1), (3, 0)])
+def test_interleaved_sim_exit_code_counts_failures_within_the_unique_radius(
+    capsys, monkeypatch, failing_t, want
+):
+    # n - k = 5, u = 3: unique radius 2, decoder radius 3
+    def chunk(params, indices):
+        t = params[5]
+        return (0, len(indices), 0) if t == failing_t else (len(indices), 0, 0)
+
+    monkeypatch.setattr(cli, "_interleaved_chunk", chunk)
+    argv = [
+        "interleaved-sim", "--m", "6", "--n", "6", "--k", "1", "--u", "3",
+        "--trials", "4", "--seed", "1",
+    ]
+    code, out, err = _run(capsys, argv)
+    assert code == want and err == ""
+    recs = _records(out)
+    assert [r["t"] for r in recs] == [0, 1, 2, 3]
+    assert [r["failures"] for r in recs] == [4 if r["t"] == failing_t else 0 for r in recs]
 
 
 def test_liga_boundary_schema_and_prediction(capsys):

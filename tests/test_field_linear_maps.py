@@ -13,6 +13,9 @@ body is kept here as the reference:
   generator, against stepping with the schoolbook product
 - subspace_perp: rows read from the trace-dual map D, against rows of
   m traces each
+- multiply and divide above the table cap at odd p and q = 4: _pmulmod
+  on digit lists, against the schoolbook product; _pdivmod itself is
+  checked for a = quot * b + rem with deg rem < deg b
 """
 
 import pickle
@@ -29,7 +32,10 @@ from rankdec.field import (
     FieldCtx,
     _factorize,
     _gf2_invmod,
+    _pdivmod,
     _pinvmod,
+    _pmul,
+    _psub,
     _ptrim,
     _unpack_base,
     kernel_basis,
@@ -147,6 +153,38 @@ def test_gf2_multiply_and_inverse_match_the_digit_lists(m):
         assert _gf2_invmod(x, ctx._mod) == inv
         assert ctx.inv(x) == inv and 0 < inv < ctx.order
         assert ctx.mul(x, y) == _schoolbook_mul(ctx, x, y)
+
+
+@pytest.mark.parametrize("q,m", [(3, 12), (4, 10), (5, 8)])
+def test_tableless_multiply_and_divide_match_the_digit_lists(q, m):
+    ctx = field_create(q, m)
+    assert ctx._exp is None
+    rng = make_rng(600 + 10 * q + m)
+    elems = [1, q - 1, ctx.order - 1, q ** (m - 1)] + [rand_nonzero(ctx, rng) for _ in range(30)]
+    for x, y in zip(elems, elems[1:] + elems[:1]):
+        assert ctx.mul(x, y) == _schoolbook_mul(ctx, x, y)
+        assert ctx.mul(x, 0) == ctx.mul(0, y) == 0
+        quot = ctx.div(x, y)
+        assert quot == _schoolbook_mul(ctx, x, _digit_list_inv(ctx, y))
+        assert _schoolbook_mul(ctx, quot, y) == x
+        assert ctx.div(0, y) == 0
+    with pytest.raises(ZeroDivisionError):
+        ctx.div(elems[-1], 0)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_polynomial_division_leaves_a_remainder_of_lower_degree(q):
+    F = field_create(q, 1).base  # F_q itself
+    rng = make_rng(40 + q)
+    leads = set()
+    for _ in range(300):
+        b = [rng.below(q) for _ in range(rng.below(6))] + [1 + rng.below(q - 1)]
+        a = _ptrim([rng.below(q) for _ in range(rng.below(14))])
+        quot, rem = _pdivmod(F, a, b)
+        assert len(rem) < len(b) and (not rem or rem[-1])
+        assert _psub(F, a, _pmul(F, quot, b)) == rem
+        leads.add(b[-1])
+    assert 1 in leads and len(leads) == q - 1  # monic and non-monic divisors both ran
 
 
 def test_gf2_inverse_of_a_multiple_of_the_modulus_raises():

@@ -1,6 +1,7 @@
-"""The bit-plane elimination over F_3 and F_4 against _generic_rref.
+"""The bit-plane eliminations over F_2, F_3 and F_4 against _generic_rref.
 
-At q = 3 and 4 every F_q elimination runs on rows held as two bit planes.
+At q = 3 and 4 every F_q elimination runs on rows held as two bit planes;
+at q = 2 a row is its lo plane alone, reduced by _gf2_rref.
 _generic_rref, which does the same first-nonzero pivoting entry by entry,
 is the reference: RREF is unique, so the reduced rows and the pivot
 columns must agree exactly, and with them everything the public API
@@ -13,7 +14,7 @@ from conftest import make_rng
 
 from rankdec import field, field_create, kernel_basis, rank, rref, solve
 
-QS = (3, 4)
+QS = (2, 3, 4)
 
 
 def _reference(ctx, rows):
@@ -103,7 +104,7 @@ def test_public_api_matches_generic_rref(q):
         assert solve(ctx, rows, rhs) == want
 
 
-@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("q", QS)  # q = 2 included: its rows are one plane
 def test_generic_rref_is_not_used_at_q3_and_q4(q, monkeypatch):
     def refuse(rows, F):
         raise AssertionError("_generic_rref reached")
